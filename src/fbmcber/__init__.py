@@ -26,7 +26,7 @@ from .analytic import (
     q_function,
 )
 from .constellations import PamConstellation, QamConstellation, SnrPoint
-from .enumeration import OffsetStream, offset_stream
+from .enumeration import offset_support
 from .errors import (
     ConstellationError,
     DegenerateFilter,

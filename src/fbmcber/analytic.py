@@ -3,8 +3,9 @@
 Single-carrier Gray-coded PAM over AWGN and frequency-flat Rayleigh
 channels (adjacent-symbol approximation and exact weighted forms), OFDM
 with a cyclic-prefix SNR penalty, and FBMC links where the residual
-self-interference of the prototype filter is averaged by enumerating
-every amplitude combination of a truncated interference table.
+self-interference of the prototype filter is averaged exactly over every
+amplitude combination of a truncated interference table (through the
+grouped offset support of `enumeration`).
 
 gamma_b is the normalized SNR (bit energy over noise density), linear
 scale throughout; dB conversion happens at the CLI boundary.
@@ -166,52 +167,40 @@ def _ofdm_args(qam_order: int, subcarriers: int, n_cp: int):
 
 
 def ofdm_awgn(qam_order: int, subcarriers: int, n_cp: int, gamma_b):
-    """Exact QAM-over-OFDM BEP with the cyclic-prefix SNR reduction."""
+    """Exact QAM-over-OFDM BEP with the cyclic-prefix SNR reduction.
+
+    Square QAM is two independent Gray PAM dimensions of order sqrt(Q),
+    so this is the exact PAM form at the CP-reduced SNR.
+    """
     pam, cp_factor = _ofdm_args(qam_order, subcarriers, n_cp)
     gamma = np.asarray(gamma_b, dtype=np.float64)
-    order = pam.order
-    c = np.sqrt(
-        3.0 * math.log2(qam_order) / (qam_order - 1) * cp_factor * gamma
-    )
-    total = 0.0
-    for i, _, w in cho_weights(order):
-        total = total + w * q_function((2 * i + 1) * c)
-    return 2.0 / (order * pam.bits_per_symbol) * total
+    return pam_awgn_exact(pam.order, cp_factor * gamma)
 
 
 def ofdm_rayleigh(qam_order: int, subcarriers: int, n_cp: int, gamma_b):
     """Exact QAM-over-OFDM BEP for flat per-subcarrier Rayleigh fading."""
     pam, cp_factor = _ofdm_args(qam_order, subcarriers, n_cp)
     gamma = np.asarray(gamma_b, dtype=np.float64)
-    order = pam.order
-    base = 3.0 * math.log2(qam_order) / (2.0 * (qam_order - 1)) * cp_factor * gamma
-    total = 0.0
-    for i, _, w in cho_weights(order):
-        total = total + w * _one_minus_sqrt_ratio((2 * i + 1) ** 2 * base)
-    return 1.0 / (order * pam.bits_per_symbol) * total
+    return pam_rayleigh_exact(pam.order, cp_factor * gamma)
 
 
 # ---------------------------------------------------------------------------
-# FBMC: average the PAM forms over the enumerated interference offsets
+# FBMC: average the PAM forms over every interference offset
 
 def _approx_weights(order: int):
     return np.array([1.0]), np.array([float(order - 1)])
 
 
-def _fbmc_bep(order, table, gamma_b, thetas, weights, kind,
-              budget, workers, chunk):
+def _fbmc_bep(order, table, gamma_b, thetas, weights, kind, budget):
     pam = PamConstellation(order)
     gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
     if np.any(gamma <= 0):
         raise ValueError("gamma_b must be positive")
-    eps = np.asarray(table.eps, dtype=np.float64)
     scales = np.sqrt(0.5 * _snr_scale(order) * gamma)
-    totals = enumeration.reduce_offsets(
-        eps, order, scales, thetas, weights, kind,
-        budget=budget, workers=workers, chunk=chunk,
+    means = enumeration.reduce_offsets(
+        table.eps, order, scales, thetas, weights, kind, budget=budget,
     )
-    count = order ** eps.size
-    probs = 2.0 / (order * pam.bits_per_symbol) * totals / count
+    probs = 2.0 / (order * pam.bits_per_symbol) * means
     clipped = np.clip(probs, 0.0, 1.0)
     if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
         log.warning("BEP outside [0, 1] clamped (max deviation %.3g)",
@@ -221,36 +210,28 @@ def _fbmc_bep(order, table, gamma_b, thetas, weights, kind,
     return clipped
 
 
-def fbmc_awgn_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET,
-                     workers=None, chunk=enumeration.DEFAULT_CHUNK):
+def fbmc_awgn_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Approximate FBMC BEP over AWGN for a truncated interference table."""
     thetas, weights = _approx_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights,
-                     "awgn", budget, workers, chunk)
+    return _fbmc_bep(order, table, gamma_b, thetas, weights, "awgn", budget)
 
 
-def fbmc_awgn_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET,
-                    workers=None, chunk=enumeration.DEFAULT_CHUNK):
+def fbmc_awgn_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Exact FBMC BEP over AWGN for a truncated interference table."""
     thetas, weights = collapsed_cho_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights,
-                     "awgn", budget, workers, chunk)
+    return _fbmc_bep(order, table, gamma_b, thetas, weights, "awgn", budget)
 
 
-def fbmc_rayleigh_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET,
-                         workers=None, chunk=enumeration.DEFAULT_CHUNK):
+def fbmc_rayleigh_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Approximate FBMC BEP over flat Rayleigh fading."""
     thetas, weights = _approx_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights,
-                     "rayleigh", budget, workers, chunk)
+    return _fbmc_bep(order, table, gamma_b, thetas, weights, "rayleigh", budget)
 
 
-def fbmc_rayleigh_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET,
-                        workers=None, chunk=enumeration.DEFAULT_CHUNK):
+def fbmc_rayleigh_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Exact FBMC BEP over flat Rayleigh fading."""
     thetas, weights = collapsed_cho_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights,
-                     "rayleigh", budget, workers, chunk)
+    return _fbmc_bep(order, table, gamma_b, thetas, weights, "rayleigh", budget)
 
 
 # ---------------------------------------------------------------------------

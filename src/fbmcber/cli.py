@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
-from . import analytic
-from .enumeration import DEFAULT_BUDGET
+from . import analytic, enumeration
 from .errors import EnumerationBudgetExceeded, FbmcBerError, GridError
 from .filters import load_taps, make_egf, make_martin, make_rect, save_taps
 from .interference import (
@@ -37,6 +35,7 @@ from .simulate import (
     FbmcSystem,
     OfdmSystem,
     PamSystem,
+    SimResult,
     StopRule,
     run_ber,
     z_scores,
@@ -113,13 +112,9 @@ def _build_filter(args):
     raise ValueError(f"unknown filter {args.filter!r}")
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("FBMCBER_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+def _fbmc_filter(args):
+    """The prototype filter of an FBMC command, designed once per command."""
+    return _build_filter(args) if args.system == "fbmc" else None
 
 
 def _write_manifest(path, payload: dict):
@@ -168,10 +163,12 @@ def cmd_filter_info(args, parser) -> int:
     return 0
 
 
-def _analytic_curve(args, ebn0_db, workers):
+def _analytic_curve(args, ebn0_db, filt):
+    """The analytic curve, and the offset and support counts of an FBMC one."""
     gammas = analytic.db_to_linear(ebn0_db)
     what = (args.system, args.channel, args.form)
     filt_label, kmax, n_cp = "", None, None
+    sizes = {"offsets_per_point": None, "support_points": None}
     if args.system == "pam":
         fn = {
             ("awgn", "approx"): analytic.pam_awgn_approx,
@@ -187,7 +184,6 @@ def _analytic_curve(args, ebn0_db, workers):
         probs = fn(args.nq, args.m, args.ncp, gammas)
         n_cp = args.ncp
     elif args.system == "fbmc":
-        filt = _build_filter(args)
         grid = FbmcGrid(args.m, filt)
         table = truncate(build_set(grid), args.kmax)
         tick = time.time()
@@ -197,38 +193,40 @@ def _analytic_curve(args, ebn0_db, workers):
             ("rayleigh", "approx"): analytic.fbmc_rayleigh_approx,
             ("rayleigh", "exact"): analytic.fbmc_rayleigh_exact,
         }[(args.channel, args.form)]
-        probs = fn(args.np, table, gammas, budget=args.budget, workers=workers)
-        count = args.np ** len(table)
-        print(f"# enumerated {count} offsets/point over {len(table)} elements "
-              f"in {time.time() - tick:.1f}s total", file=sys.stderr)
+        probs = fn(args.np, table, gammas, budget=args.budget)
+        sizes = {"offsets_per_point": args.np ** len(table),
+                 "support_points": enumeration.support_size(table.eps, args.np)}
+        print(f"# enumerated {sizes['offsets_per_point']} offsets/point as "
+              f"{sizes['support_points']} support points over {len(table)} "
+              f"elements in {time.time() - tick:.1f}s total", file=sys.stderr)
         filt_label, kmax = filt.label, args.kmax
     else:
         raise ValueError(f"unknown system {args.system!r}")
     model = "-".join(what)
-    return analytic.BepCurve(model, ebn0_db, probs, filt_label, kmax, n_cp)
+    curve = analytic.BepCurve(model, ebn0_db, probs, filt_label, kmax, n_cp)
+    return curve, sizes
 
 
 def cmd_bep(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    curve = _analytic_curve(args, ebn0_db, _workers(args))
+    curve, sizes = _analytic_curve(args, ebn0_db, _fbmc_filter(args))
     csv_path, manifest_path = _out_paths(args, "bep")
     analytic.export_curve_csv(curve, csv_path)
     _write_manifest(manifest_path, {
         "command": "bep", "model": curve.model, "filter": curve.filter_label,
-        "kmax": curve.kmax, "n_cp": curve.n_cp,
+        "kmax": curve.kmax, "n_cp": curve.n_cp, **sizes,
         "ebn0_db": list(map(float, ebn0_db)),
     })
     print(f"wrote {csv_path}")
     return 0
 
 
-def _build_system(args):
+def _build_system(args, filt):
     if args.system == "pam":
         return PamSystem(args.np)
     if args.system == "ofdm":
         return OfdmSystem(args.nq, args.m, args.ncp)
     if args.system == "fbmc":
-        filt = _build_filter(args)
         return FbmcSystem(args.np, FbmcGrid(args.m, filt),
                           frame_symbols=args.frame_symbols)
     raise ValueError(f"unknown system {args.system!r}")
@@ -236,7 +234,7 @@ def _build_system(args):
 
 def cmd_simulate(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    system = _build_system(args)
+    system = _build_system(args, _fbmc_filter(args))
     channel = ChannelModel(args.channel, args.coherence)
     stop = StopRule(args.min_errors, args.max_bits, args.min_frames,
                     args.target_rel_se)
@@ -252,32 +250,18 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    workers = _workers(args)
-    curve = _analytic_curve(args, ebn0_db, workers)
+    filt = _fbmc_filter(args)
+    curve, _ = _analytic_curve(args, ebn0_db, filt)
 
     if args.sim_csv:
-        rows = []
-        with open(args.sim_csv) as fh:
-            header = fh.readline()
-            for line in fh:
-                if line.strip():
-                    rows.append(line.strip().split(","))
-        if not rows:
-            raise ValueError(f"simulation input {args.sim_csv} is empty")
-        sim_db = np.array([float(r[0]) for r in rows])
+        result = SimResult.from_csv(args.sim_csv)
+        sim_db = result.ebn0_db
         if sim_db.size != ebn0_db.size or not np.allclose(sim_db, ebn0_db):
             raise GridError(
                 f"simulated grid {sim_db.tolist()} != analytic {ebn0_db.tolist()}"
             )
-        from .simulate import SimPoint, SimResult
-        points = [
-            SimPoint(float(r[0]), int(r[1]), int(r[2]), float(r[3]),
-                     float(r[4]), float(r[4]) / 1.96)
-            for r in rows
-        ]
-        result = SimResult(points=points, seed=-1)
     else:
-        system = _build_system(args)
+        system = _build_system(args, filt)
         channel = ChannelModel(args.channel, args.coherence)
         stop = StopRule(args.min_errors, args.max_bits, args.min_frames,
                         args.target_rel_se)
@@ -328,12 +312,14 @@ def _add_model_flags(p):
                    help="OFDM cyclic prefix length (default 2 = M/8)")
     p.add_argument("--kmax", type=int, default=8,
                    help="kept interference elements (default 8)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max enumerated offsets per point")
+    p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET,
+                   help="max offset support points of an FBMC curve "
+                        "(default 2**24)")
     p.add_argument("--ebn0", default="0:12:1",
                    help="gamma_b grid in dB: start:stop:step or v1,v2,...")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: env FBMCBER_WORKERS or cores)")
+    # Ignored (the offset reduction runs in one thread); it still parses so
+    # that existing command lines, the benchmark's among them, keep working.
+    p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def _add_sim_flags(p):

@@ -1,16 +1,19 @@
-"""Mixed-radix enumeration of interference offsets.
+"""Exact offset support of a truncated interference table.
 
-An offset is sum_j a_j * eps_j with each PAM amplitude a_j running over
-the full alphabet, so a truncated table with k entries yields N_p**k
-offsets.  Offsets are indexed mixed-radix with entry 0 as the most
-significant digit, which makes disjoint index ranges independent units
-of work for parallel reduction.
+An offset is X = sum_j a_j * eps_j with each PAM amplitude a_j uniform
+over the alphabet, so a table with k entries has order**k equally likely
+amplitude combinations.  The alphabet is sign-symmetric, so X depends on
+the multiset of |eps| only: entries of equal magnitude e form a group,
+a group of c entries adds e * S with S the sum of c levels, and the
+integer counts of S come from repeated convolution.  The outer sum over
+the groups gives support points with integer multiplicities that add up
+to order**k, so an average over all offsets is a weighted sum over a
+few hundred to a few tens of thousands of points.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erfc
@@ -18,150 +21,85 @@ from scipy.special import erfc
 from .constellations import PamConstellation
 from .errors import EnumerationBudgetExceeded
 
-__all__ = ["DEFAULT_BUDGET", "OffsetStream", "offset_stream", "reduce_offsets"]
+__all__ = ["DEFAULT_BUDGET", "offset_support", "reduce_offsets", "support_size"]
 
-DEFAULT_BUDGET = 2**30
-DEFAULT_CHUNK = 1 << 20
-
-
-def _decode(eps: np.ndarray, levels: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Offsets for mixed-radix indices (entry 0 = most significant digit)."""
-    order = levels.size
-    offsets = np.zeros(idx.size, dtype=np.float64)
-    rem = idx.astype(np.int64, copy=True)
-    place = order ** (eps.size - 1)
-    for j in range(eps.size):
-        digit = rem // place
-        rem -= digit * place
-        offsets += eps[j] * levels[digit]
-        place //= order
-    return offsets
+# Support points allowed per table: 8**8, the support of any top-8
+# table at N_p = 8, even one without two equal magnitudes.
+DEFAULT_BUDGET = 2**24
+# Magnitudes closer than this relative distance form one group; mirrored
+# table entries agree to the last few ulps only.
+GROUP_RTOL = 1e-9
+# Support points evaluated at once, which bounds the kernel's temporaries.
+SLICE = 1 << 14
 
 
-class OffsetStream:
-    """All offsets of a truncated table, one per mixed-radix index."""
-
-    def __init__(self, eps, order: int, budget: int = DEFAULT_BUDGET):
-        self.eps = np.asarray(eps, dtype=np.float64)
-        self.constellation = PamConstellation(order)
-        self.count = order ** self.eps.size
-        if self.count > budget:
-            raise EnumerationBudgetExceeded(self.count, budget)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def range(self, start: int, stop: int) -> np.ndarray:
-        """Offsets for indices [start, stop)."""
-        if not 0 <= start <= stop <= self.count:
-            raise IndexError(f"range [{start}, {stop}) outside [0, {self.count})")
-        if self.eps.size == 0:
-            return np.zeros(stop - start)
-        idx = np.arange(start, stop, dtype=np.int64)
-        return _decode(self.eps, self.constellation.levels, idx)
-
-    def __iter__(self):
-        for start in range(0, self.count, DEFAULT_CHUNK):
-            yield from self.range(start, min(start + DEFAULT_CHUNK, self.count))
+def _groups(eps) -> list[tuple[float, int]]:
+    """(mean magnitude, entry count) of each |eps| group, largest first."""
+    mags = np.sort(np.abs(np.asarray(eps, dtype=np.float64)))[::-1]
+    cuts = np.flatnonzero(mags[:-1] - mags[1:] > GROUP_RTOL * mags[:-1]) + 1
+    return [(float(g.mean()), g.size) for g in np.split(mags, cuts) if g.size]
 
 
-def offset_stream(table, order: int, budget: int = DEFAULT_BUDGET) -> OffsetStream:
-    """Stream over a truncated InterferenceTable's offsets."""
-    return OffsetStream(table.eps, order, budget)
+def support_size(eps, order: int) -> int:
+    """Support points of the offsets of `eps`: prod over groups of c*(order-1)+1."""
+    return math.prod(count * (order - 1) + 1 for _, count in _groups(eps))
 
 
-def _kernel_sum(offsets, theta, sign, scale, kind, buf, aux):
-    """sum over offsets of K(theta + sign*offset) with in-place buffers.
+def offset_support(eps, order: int, budget: int = DEFAULT_BUDGET):
+    """Support values and multiplicities of the order**k offsets of `eps`.
 
-    awgn kernel      K(x) = 0.5 * erfc(scale * x)            (= Q(sqrt(2)*scale*x))
-    rayleigh kernel  K(x) = 0.5 * (1 - t / sqrt(t^2 + 1)),   t = scale * x
+    The multiplicities are integer-valued float64 (exact while order**k
+    stays below 2**53) and sum to order**k.  The support is symmetric
+    about zero, and it does not depend on the order or signs of `eps`.
     """
-    if sign > 0:
-        np.add(theta, offsets, out=buf)
-    else:
-        np.subtract(theta, offsets, out=buf)
-    buf *= scale
+    order = PamConstellation(int(order)).order
+    size = support_size(eps, order)
+    if size > budget:
+        raise EnumerationBudgetExceeded(size, budget)
+    values = np.zeros(1)
+    mults = np.ones(1)
+    for mag, count in _groups(eps):
+        counts = np.ones(1)
+        for _ in range(count):
+            counts = np.convolve(counts, np.ones(order))
+        sums = 2.0 * np.arange(counts.size) - count * (order - 1)
+        values = (values[:, None] + mag * sums).ravel()
+        mults = (mults[:, None] * counts).ravel()
+    return values, mults
+
+
+def _kernel(t, kind):
+    """K at scaled arguments t.
+
+    awgn kernel      K(t) = 0.5 * erfc(t)
+    rayleigh kernel  K(t) = 0.5 * (1 - t / sqrt(t^2 + 1))
+    """
     if kind == "awgn":
-        erfc(buf, out=buf)
-        return 0.5 * float(buf.sum())
+        return 0.5 * erfc(t)
     # Rationalized Rayleigh form: 1/(2 s (s + t)) for t > 0 keeps full
     # precision where the BEP flattens into a floor.
-    np.multiply(buf, buf, out=aux)
-    aux += 1.0
-    np.sqrt(aux, out=aux)          # s
-    pos = 0.5 / (aux * (aux + buf))
-    neg = 0.5 * (aux - buf) / aux
-    return float(np.where(buf > 0.0, pos, neg).sum())
-
-
-def _chunk_sums(eps, levels, start, stop, scales, thetas, weights, kind):
-    """Per-gamma partial sums over folded indices [start, stop).
-
-    Each visited index has its sign-mirror (all digits complemented)
-    accounted for by evaluating the kernel at theta -/+ offset, so the
-    reduction is exactly invariant under a global sign flip of eps.
-    """
-    idx = np.arange(start, stop, dtype=np.int64)
-    offsets = _decode(eps, levels, idx)
-    buf = np.empty_like(offsets)
-    aux = np.empty_like(offsets) if kind == "rayleigh" else None
-    out = np.empty(scales.size)
-    for gi, scale in enumerate(scales):
-        parts = []
-        for theta, weight in zip(thetas, weights):
-            parts.append(
-                weight * _kernel_sum(offsets, theta, -1, scale, kind, buf, aux)
-            )
-            parts.append(
-                weight * _kernel_sum(offsets, theta, +1, scale, kind, buf, aux)
-            )
-        out[gi] = math.fsum(parts)
-    return out
+    s = np.sqrt(t * t + 1.0)
+    return np.where(t > 0.0, 0.5 / (s * (s + t)), 0.5 * (s - t) / s)
 
 
 def reduce_offsets(eps, order, scales, thetas, weights, kind,
-                   budget=DEFAULT_BUDGET, workers=None, chunk=DEFAULT_CHUNK):
-    """Per-scale totals of sum_{offsets, thetas} weight * K(theta - offset).
+                   budget=DEFAULT_BUDGET):
+    """Per-scale mean over all offsets x of sum_theta weight * K(scale * (theta - x)).
 
     `scales` holds the kernel scale sqrt(u * gamma / 2) per SNR point and
-    `kind` is 'awgn' or 'rayleigh'.  Chunk partials are combined with
-    exact (fsum) accumulation in fixed chunk order, so results do not
-    depend on the worker count.
+    `kind` is 'awgn' or 'rayleigh'.  The mean is the multiplicity-weighted
+    sum over offset_support(eps, order), taken slice by slice in a fixed
+    order with exact (fsum) accumulation of the partial sums.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    order = int(order)
-    scales = np.asarray(scales, dtype=np.float64)
-    count = order ** eps.size
-    if count > budget:
-        raise EnumerationBudgetExceeded(count, budget)
-    levels = PamConstellation(order).levels
-
-    if eps.size == 0:
-        zero = np.zeros(1)
-        buf = np.empty(1)
-        aux = np.empty(1) if kind == "rayleigh" else None
-        return np.array([
-            math.fsum(
-                w * _kernel_sum(zero, t, -1, s, kind, buf, aux)
-                for t, w in zip(thetas, weights)
-            )
-            for s in scales
-        ])
-
-    # Global sign symmetry: visit half the index space (first digit in the
-    # lower half of the alphabet) and fold each mirror pair in the kernel.
-    visited = count // 2
-    tasks = [(s, min(s + chunk, visited)) for s in range(0, visited, chunk)]
-
-    def run(task):
-        return _chunk_sums(eps, levels, task[0], task[1],
-                           scales, thetas, weights, kind)
-
-    if workers and workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, tasks))
-    else:
-        partials = [run(t) for t in tasks]
-    return np.array(
-        [math.fsum(p[gi] for p in partials) for gi in range(scales.size)]
-    )
+    values, mults = offset_support(eps, order, budget)
+    scales = np.atleast_1d(np.asarray(scales, dtype=np.float64))
+    thetas = np.asarray(thetas, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    parts = [[] for _ in scales]
+    for start in range(0, values.size, SLICE):
+        diff = thetas[:, None] - values[None, start:start + SLICE]
+        mult = mults[start:start + SLICE]
+        for part, scale in zip(parts, scales):
+            part.extend(weights * (_kernel(scale * diff, kind) * mult).sum(axis=1))
+    total = math.fsum(mults)
+    return np.array([math.fsum(part) / total for part in parts])

@@ -22,13 +22,14 @@ class ConstellationError(FbmcBerError):
 
 
 class EnumerationBudgetExceeded(FbmcBerError):
-    """Offset enumeration would exceed the configured term budget."""
+    """Offset support would exceed the configured point budget."""
 
     def __init__(self, required, budget):
         self.required = int(required)
         self.budget = int(budget)
         super().__init__(
-            f"enumeration needs {self.required} offsets, budget is {self.budget}"
+            f"offset support needs {self.required} support points, "
+            f"budget is {self.budget}"
         )
 
 

@@ -8,12 +8,13 @@ zero-forcing: a common flat gain per FBMC frame (which the projection
 step passes through exactly) and i.i.d. per-subcarrier gains for OFDM.
 
 Randomness is drawn from counter-based substreams: the generator of
-batch b of SNR point i is seeded with (master_seed, i, b), so results
-are bit-for-bit reproducible and independent of worker count.
+batch b of SNR point i is seeded with (master_seed, i, b), so a given
+seed and configuration reproduce results bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -92,6 +93,19 @@ class SimPoint:
     se_block: float
     upper_bound_only: bool = False
 
+    @classmethod
+    def from_counts(cls, ebn0_db, bits, errors, se_block=None) -> "SimPoint":
+        """Point from its bit and error counts; se_block defaults to the
+        binomial standard error (no frame replicates to go on)."""
+        if bits <= 0:
+            raise ValueError(f"a simulated point needs bits > 0, got {bits}")
+        ber = errors / bits
+        ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
+        return cls(ebn0_db=float(ebn0_db), bits=bits, errors=errors, ber=ber,
+                   ci95=ci95,
+                   se_block=ci95 / 1.96 if se_block is None else se_block,
+                   upper_bound_only=(errors == 0))
+
 
 @dataclass
 class SimResult:
@@ -109,12 +123,37 @@ class SimResult:
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("ebn0_db,bits,errors,ber,ci95\n")
+            fh.write("ebn0_db,bits,errors,ber,ci95,se_block\n")
             for p in self.points:
                 fh.write(
                     f"{p.ebn0_db:.6g},{p.bits},{p.errors},"
-                    f"{p.ber:.10e},{p.ci95:.6e}\n"
+                    f"{p.ber:.10e},{p.ci95:.6e},{p.se_block:.17g}\n"
                 )
+
+    @classmethod
+    def from_csv(cls, path) -> "SimResult":
+        """Read back a to_csv file (seed -1: not recorded in the CSV).
+
+        ber and ci95 are recomputed from the integer counts and se_block
+        is read at full precision, so z-scores match the original run's.
+        A file without the se_block column falls back to the binomial SE.
+        """
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if not rows:
+            raise ValueError(f"simulation input {path} is empty")
+        missing = {"ebn0_db", "bits", "errors"} - set(rows[0])
+        if missing:
+            raise ValueError(f"simulation input {path} lacks columns "
+                             f"{sorted(missing)}")
+        points = [
+            SimPoint.from_counts(
+                float(r["ebn0_db"]), int(r["bits"]), int(r["errors"]),
+                float(r["se_block"]) if r.get("se_block") else None,
+            )
+            for r in rows
+        ]
+        return cls(points=points, seed=-1)
 
 
 def _cnoise(rng, n0: float, shape) -> np.ndarray:
@@ -352,21 +391,14 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
                 if se > stop.target_rel_se * per_frame.mean():
                     continue
             break
-        ber = errors / bits
-        ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
         per_frame = np.concatenate(frame_errors)
+        se_block = None
         if per_frame.size > 1:
             se_block = float(
                 per_frame.std(ddof=1)
                 / math.sqrt(per_frame.size) / system.frame_bits
             )
-        else:
-            se_block = ci95 / 1.96
-        points.append(SimPoint(
-            ebn0_db=float(db), bits=bits, errors=errors, ber=ber,
-            ci95=ci95, se_block=se_block,
-            upper_bound_only=(errors == 0),
-        ))
+        points.append(SimPoint.from_counts(db, bits, errors, se_block))
     config = {
         **system.describe(),
         "channel": channel.kind,

@@ -12,10 +12,11 @@ import pytest
 
 from conftest import random_symmetric_filter
 from fbmcber import analytic as an
-from fbmcber.enumeration import offset_stream
+from fbmcber.enumeration import offset_support
 from fbmcber.filters import make_egf, make_martin
 from fbmcber.interference import (
     FbmcGrid,
+    InterferenceTable,
     build_set,
     epsilon,
     set_size,
@@ -181,9 +182,11 @@ class TestCriterion4BpskClosedForms:
 
 class TestCriterion5AwgnFigure2:
     def test_enumeration_size(self, systems):
-        count = len(offset_stream(systems["martin"]["table"], 8))
-        report(f"C5 enumeration {count} offsets/point")
-        assert count == 8**8 == 16_777_216
+        values, mults = offset_support(systems["martin"]["table"].eps, 8)
+        count = int(mults.sum())
+        report(f"C5 enumeration {count} offsets/point as {values.size} "
+               f"support points")
+        assert count == mults.sum() == 8**8 == 16_777_216
         assert count >= 16e6
 
     @pytest.mark.parametrize("name", ["martin", "egf-1.0", "egf-0.25"])
@@ -312,15 +315,21 @@ class TestCriterion8PropertySuites:
         report(f"C8 analyze(synthesize) vs table prediction: worst {worst:.2e}")
         assert worst < 1e-10
 
-    def test_parallel_enumeration_determinism(self, systems):
-        gammas = an.db_to_linear(np.array([6.0]))
-        serial = an.fbmc_awgn_exact(8, systems["martin"]["table"], gammas,
-                                    workers=1)
-        threaded = an.fbmc_awgn_exact(8, systems["martin"]["table"], gammas,
-                                      workers=4)
-        rel = float(np.max(np.abs(serial - threaded) / serial))
-        report(f"C8 parallel vs serial relative difference {rel:.2e}")
-        assert rel < 1e-10
+    def test_enumeration_permutation_sign_determinism(self, systems):
+        # The offsets depend on the multiset of |eps| only, so reordering
+        # the table and flipping signs must give bit-identical curves.
+        table = systems["egf-1.0"]["table"]
+        rng = np.random.default_rng(8)
+        perm = rng.permutation(len(table))
+        signs = np.where(rng.random(len(table)) < 0.5, -1.0, 1.0)
+        shuffled = InterferenceTable(table.m[perm], table.n[perm],
+                                     signs * table.eps[perm], table.eps00,
+                                     table.grid)
+        for fn, db in ((an.fbmc_awgn_exact, AWGN_DB),
+                       (an.fbmc_rayleigh_exact, RAY_DB)):
+            gammas = an.db_to_linear(db)
+            assert np.array_equal(fn(8, table, gammas), fn(8, shuffled, gammas))
+        report("C8 permuted, sign-flipped table reproduces the curves bit for bit")
 
     def test_curve_monotonicity_and_range(self, awgn_curves, rayleigh_curves):
         for label, group in (("awgn", awgn_curves), ("rayleigh", rayleigh_curves)):

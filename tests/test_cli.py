@@ -93,7 +93,10 @@ class TestBep:
             "--ebn0", "0,6,12", "--out", base,
         )
         assert code == 0
-        assert "enumerated 512 offsets" in err
+        assert "enumerated 512 offsets/point as 22 support points" in err
+        manifest = json.loads((tmp_path / "fbmc.manifest.json").read_text())
+        assert manifest["offsets_per_point"] == 512
+        assert manifest["support_points"] == 22  # one |eps| group of 3
         lines = (tmp_path / "fbmc.csv").read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "martin-k4"
@@ -101,10 +104,11 @@ class TestBep:
     def test_budget_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "bep", "--system", "fbmc", "--kmax", "8",
-            "--budget", "1000", "--ebn0", "0:2:1",
+            "--budget", "800", "--ebn0", "0:2:1",
             "--out", str(tmp_path / "x"),
         )
         assert code == BUDGET_ERROR
+        assert "841 support points" in err
         assert "kmax" in err
 
 
@@ -195,6 +199,27 @@ class TestCompare:
         assert code == 0
         assert "worst |z|" in out
 
+    def test_rayleigh_fbmc_csv_round_trip(self, capsys, tmp_path):
+        # Under block fading z rests on the frame-replicate SE, which the
+        # simulate CSV must carry for --sim-csv to reproduce it.
+        args = ["--system", "fbmc", "--channel", "rayleigh", "--kmax", "3",
+                "--ebn0", "10,20", "--seed", "1", "--min-errors", "1000000",
+                "--max-bits", "500000"]
+        sim = str(tmp_path / "sim")
+        assert run_cli(capsys, "simulate", *args, "--out", sim)[0] == 0
+        codes = [
+            run_cli(capsys, "compare", *args, "--out", str(tmp_path / "a"))[0],
+            run_cli(capsys, "compare", *args, "--sim-csv", sim + ".csv",
+                    "--out", str(tmp_path / "b"))[0],
+        ]
+        assert codes[0] == codes[1]
+
+        def z_column(name):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            return [line.split(",")[6] for line in lines[1:]]
+
+        assert z_column("a") == z_column("b")
+
     def test_divergence_exit_code(self, capsys, tmp_path):
         # A deliberately wrong analytic target (BPSK curve vs 8-PAM sim).
         sim = tmp_path / "sim.csv"
@@ -206,21 +231,6 @@ class TestCompare:
             "--out", str(tmp_path / "cmp"),
         )
         assert code == COMPARE_ERROR
-
-
-class TestWorkerSelection:
-    def test_env_override(self, monkeypatch):
-        from fbmcber.cli import _workers
-
-        class Args:
-            workers = None
-
-        monkeypatch.setenv("FBMCBER_WORKERS", "3")
-        assert _workers(Args()) == 3
-        monkeypatch.delenv("FBMCBER_WORKERS")
-        assert _workers(Args()) >= 1
-        Args.workers = 2
-        assert _workers(Args()) == 2
 
 
 class TestGridParsing:

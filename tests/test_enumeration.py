@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from fbmcber.constellations import PamConstellation, QamConstellation, SnrPoint
-from fbmcber.enumeration import OffsetStream, offset_stream
+from fbmcber import enumeration
+from fbmcber.enumeration import offset_support, reduce_offsets, support_size
 from fbmcber.errors import ConstellationError, EnumerationBudgetExceeded
 from fbmcber.interference import truncate
 
@@ -51,59 +55,70 @@ class TestConstellations:
 
 
 class TestOffsetStream:
+    """The offsets of a table, as offset_support gives them."""
+
     def test_empty_table(self, martin_table):
-        stream = offset_stream(truncate(martin_table, 0), 8)
-        assert len(stream) == 1
-        assert list(stream) == [0.0]
+        values, mults = offset_support(truncate(martin_table, 0).eps, 8)
+        assert values.tolist() == [0.0]
+        assert mults.tolist() == [1.0]
 
     def test_single_entry_bpsk(self):
-        stream = OffsetStream([0.1], 2)
-        assert len(stream) == 2
-        assert np.allclose(sorted(stream), [-0.1, 0.1])
+        values, mults = offset_support([0.1], 2)
+        assert np.allclose(sorted(values), [-0.1, 0.1])
+        assert mults.tolist() == [1.0, 1.0]
 
     def test_count_for_top8(self, martin_top8):
-        stream = offset_stream(martin_top8, 8)
-        assert len(stream) == 8**8 == 16_777_216
-
-    def test_mixed_radix_order(self):
-        # Entry 0 is the most significant digit.
-        stream = OffsetStream([1.0, 0.01], 4)
-        levels = PamConstellation(4).levels  # [-3, -1, 1, 3]
-        expected = [a + 0.01 * b for a in levels for b in levels]
-        assert np.allclose(stream.range(0, 16), expected)
-
-    def test_range_partition_consistency(self):
-        stream = OffsetStream([0.3, -0.07, 0.011], 4)
-        full = stream.range(0, len(stream))
-        parts = np.concatenate([
-            stream.range(0, 13), stream.range(13, 40), stream.range(40, 64)
-        ])
-        assert np.array_equal(full, parts)
-        assert np.array_equal(full, np.array(list(stream)))
-
-    def test_range_validation(self):
-        stream = OffsetStream([0.1], 2)
-        with pytest.raises(IndexError):
-            stream.range(0, 3)
+        values, mults = offset_support(martin_top8.eps, 8)
+        assert mults.sum() == 8**8 == 16_777_216
+        # |eps| groups [4, 4]: (4 * 7 + 1) ** 2 points.
+        assert values.size == support_size(martin_top8.eps, 8) == 841
+        # Exactly symmetric about zero, so K(theta - x) needs no mirror fold.
+        assert np.array_equal(np.sort(values), np.sort(-values))
 
     def test_budget_guard(self, martin_top8):
         with pytest.raises(EnumerationBudgetExceeded) as info:
-            offset_stream(martin_top8, 8, budget=10**6)
-        assert info.value.required == 8**8
+            offset_support(martin_top8.eps, 8, budget=800)
+        assert info.value.required == 841
 
     def test_budget_guard_through_bep(self, martin_top8):
         from fbmcber import analytic as an
 
         with pytest.raises(EnumerationBudgetExceeded):
-            an.fbmc_awgn_exact(8, martin_top8, 10.0, budget=1000)
+            an.fbmc_awgn_exact(8, martin_top8, 10.0, budget=800)
 
 
-class TestParallelDeterminism:
-    def test_workers_do_not_change_results(self, martin_table):
+class TestGroupedReduction:
+    # Ties (one only to the last ulps), mixed signs and a singleton.
+    EPS = [0.2, -0.2 * (1.0 + 4e-16), 0.07, -0.07, 0.013]
+    ORDER = 4
+
+    @pytest.mark.parametrize("form", ["approx", "exact"])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_matches_brute_force(self, kind, form, monkeypatch):
         from fbmcber import analytic as an
 
-        table = truncate(martin_table, 6)
-        gammas = 10 ** (np.array([0.0, 6.0, 12.0]) / 10)
-        serial = an.fbmc_awgn_exact(8, table, gammas, workers=1, chunk=1 << 15)
-        threaded = an.fbmc_awgn_exact(8, table, gammas, workers=4, chunk=1 << 15)
-        assert np.max(np.abs(serial - threaded) / serial) < 1e-10
+        # 7 * 7 * 4 = 196 support points, summed in slices of 50.
+        monkeypatch.setattr(enumeration, "SLICE", 50)
+
+        thetas, weights = (an._approx_weights(self.ORDER) if form == "approx"
+                           else an.collapsed_cho_weights(self.ORDER))
+        levels = PamConstellation(self.ORDER).levels
+        offsets = np.array([
+            np.dot(amps, self.EPS)
+            for amps in itertools.product(levels, repeat=len(self.EPS))
+        ])
+        assert offsets.size == self.ORDER ** len(self.EPS)
+        scales = np.array([0.3, 1.0, 2.5, 8.0])
+        got = reduce_offsets(self.EPS, self.ORDER, scales, thetas, weights, kind)
+        for scale, value in zip(scales, got):
+            t = scale * (thetas[:, None] - offsets[None, :])
+            if kind == "awgn":
+                kernel = np.array([[0.5 * math.erfc(x) for x in row] for row in t])
+            else:
+                # 0.5 * (1 - t / sqrt(1 + t^2)), with the t > 0 half taken
+                # as 0.5 / ((1 + t^2) * (1 + t / sqrt(1 + t^2))).
+                root = t / np.sqrt(1.0 + t * t)
+                kernel = np.where(t > 0.0, 0.5 / ((1.0 + t * t) * (1.0 + root)),
+                                  0.5 * (1.0 - root))
+            expected = math.fsum(weights * kernel.mean(axis=1))
+            assert value == pytest.approx(expected, rel=1e-13)

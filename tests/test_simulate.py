@@ -12,6 +12,7 @@ from fbmcber.simulate import (
     FbmcSystem,
     OfdmSystem,
     PamSystem,
+    SimResult,
     StopRule,
     apply_channel,
     run_ber,
@@ -148,11 +149,12 @@ class TestResultContainer:
         path = tmp_path / "sim.csv"
         res.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "ebn0_db,bits,errors,ber,ci95"
+        assert lines[0] == "ebn0_db,bits,errors,ber,ci95,se_block"
         assert len(lines) == 3
         fields = lines[1].split(",")
         assert float(fields[0]) == 4.0
         assert int(fields[1]) == res.points[0].bits
+        assert SimResult.from_csv(path).points == res.points
 
     def test_min_frames_extends_run(self):
         quick = run_ber(FbmcSystem(8, FbmcGrid(16, _martin()), frame_symbols=48),
