@@ -61,7 +61,7 @@ from .interference import (
     truncate,
 )
 from .modem import (
-    fbmc_analyze,
+    fbmc_analyze_frame,
     fbmc_synthesize,
     ofdm_demodulate,
     ofdm_modulate,

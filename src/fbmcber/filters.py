@@ -132,8 +132,9 @@ def _orth_cos_coeffs(width: float, period: float, tol: float = 1e-18) -> np.ndar
 
     The periodization is P(u) = period * sum_j sqrt(2*width) *
     exp(-2*pi*width*(u - j*period)^2).  Returns d_k such that
-    1/sqrt(P(u)) = d_0 + sum_{k>=1} d_k cos(2*pi*k*u/period), truncated
-    once the coefficients fall below tol (they decay geometrically).
+    1/sqrt(P(u)) = d_0 + sum_{k>=1} d_k cos(2*pi*k*u/period), with the
+    trailing coefficients below tol * max|d_k| dropped; the default tol
+    is below the FFT's rounding floor, so nearly all of them are kept.
     """
     n_grid = 8192
     u = np.arange(n_grid) * (period / n_grid)
@@ -166,7 +167,10 @@ def _egf_samples(alpha: float, t: np.ndarray) -> np.ndarray:
     d = _orth_cos_coeffs(1.0 / alpha, lat)
     z = d[0] * _gauss(u, alpha)
     for k in range(1, d.size):
-        z += 0.5 * d[k] * (_gauss(u + k / lat, alpha) + _gauss(u - k / lat, alpha))
+        pair = _gauss(u + k / lat, alpha) + _gauss(u - k / lat, alpha)
+        if not pair.any():
+            break  # later shifts lie farther out and underflow as well
+        z += 0.5 * d[k] * pair
     jmax = int(math.ceil(math.sqrt(400.0 / (2.0 * np.pi * alpha)) / lat)) + 2
     shifts = np.arange(-jmax, jmax + 1) * lat
     p_time = lat * math.sqrt(2.0 * alpha) * np.exp(

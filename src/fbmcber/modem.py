@@ -1,9 +1,10 @@
 """Baseband mapping and multiplexing chains.
 
-Gray PAM/QAM bit mapping, FBMC synthesis/analysis by direct pulse
-superposition, and cyclic-prefix OFDM with unitary transforms.  Bit
-groups are LSB-first; the Gray codeword of ascending level index i is
-i ^ (i >> 1), identical for PAM and each QAM dimension.
+Gray PAM/QAM bit mapping, FBMC synthesis/analysis as two matrix
+products with the bank of modulated prototypes, and cyclic-prefix OFDM
+with unitary transforms.  Bit groups are LSB-first; the Gray codeword
+of ascending level index i is i ^ (i >> 1), identical for PAM and each
+QAM dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = [
     "qam_map",
     "qam_demap",
     "fbmc_synthesize",
-    "fbmc_analyze",
+    "fbmc_analyze_frame",
     "fbmc_signal_length",
     "ofdm_modulate",
     "ofdm_demodulate",
@@ -128,7 +129,7 @@ def fbmc_synthesize(symbols, grid: FbmcGrid, bank: PulseBank | None = None):
     bank = bank or PulseBank(grid)
     n_symbols = a.shape[2]
     weighted = a * bank.chi(n_symbols)[None, :, :]
-    per_slot = np.einsum("bmn,mj->bnj", weighted, bank.q)
+    per_slot = weighted.transpose(0, 2, 1) @ bank.q
     signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
                       dtype=np.complex128)
     lp = grid.filter.length
@@ -140,39 +141,25 @@ def fbmc_synthesize(symbols, grid: FbmcGrid, bank: PulseBank | None = None):
 
 def fbmc_analyze_frame(signal, grid: FbmcGrid, n_symbols: int,
                        bank: PulseBank | None = None) -> np.ndarray:
-    """Complex projections <x|p[m,n]> for all slots of a frame (pre-slicing)."""
+    """Complex projections <x|p[m,n]> for all slots of a frame (pre-slicing).
+
+    signal may be (L,) or (B, L); the result is (M, N) or (B, M, N).
+    """
     x = np.asarray(signal, dtype=np.complex128)
     single = x.ndim == 1
     if single:
         x = x[None]
+    if n_symbols < 0:
+        raise RangeError(f"symbol count {n_symbols} is negative")
     needed = fbmc_signal_length(grid, n_symbols)
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")
     bank = bank or PulseBank(grid)
-    lp = grid.filter.length
-    qh = bank.q.conj().T
-    out = np.empty((x.shape[0], grid.subcarriers, n_symbols), dtype=np.complex128)
-    for n in range(n_symbols):
-        start = n * grid.half_symbol
-        out[:, :, n] = x[:, start : start + lp] @ qh
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x, grid.filter.length, axis=1)[:, :: grid.half_symbol][:, :n_symbols]
+    out = (windows @ bank.q.conj().T).transpose(0, 2, 1)
     out *= bank.chi(n_symbols).conj()[None, :, :]
     return out[0] if single else out
-
-
-def fbmc_analyze(signal, grid: FbmcGrid, m0: int, n0: int) -> float:
-    """Re<x | p[m0, n0]>: the real statistic of one slot."""
-    if not 0 <= m0 < grid.subcarriers:
-        raise RangeError(f"subcarrier index {m0} outside [0, {grid.subcarriers})")
-    x = np.asarray(signal, dtype=np.complex128)
-    lp = grid.filter.length
-    start = n0 * grid.half_symbol
-    if start < 0 or start + lp > x.size:
-        raise RangeError(
-            f"pulse support [{start}, {start + lp}) outside signal of {x.size}"
-        )
-    bank = PulseBank(grid)
-    chi = _I4[(2 * m0 * n0 + m0 + n0) % 4]
-    return float((x[start : start + lp] @ bank.q[m0].conj() * chi.conj()).real)
 
 
 # ---------------------------------------------------------------------------

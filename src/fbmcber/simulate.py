@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -300,6 +301,10 @@ class FbmcSystem:
     def edge_columns(self) -> int:
         return 2 * self.grid.filter.overlap
 
+    @cached_property
+    def bank(self) -> PulseBank:
+        return PulseBank(self.grid)
+
     @property
     def data_columns(self) -> int:
         return self.frame_symbols - 2 * self.edge_columns
@@ -329,10 +334,9 @@ class FbmcSystem:
         m, nsym = self.grid.subcarriers, self.frame_symbols
         bps = pam.bits_per_symbol
         n0 = self.noise_density(gamma_b)
-        bank = PulseBank(self.grid)
         bits = rng.integers(0, 2, frames * m * nsym * bps, dtype=np.int8)
         a = pam_map(bits, pam).reshape(frames, m, nsym)
-        s = fbmc_synthesize(a, self.grid, bank)
+        s = fbmc_synthesize(a, self.grid, self.bank)
         if channel.kind == "rayleigh":
             draws = -(-frames // channel.coherence)
             h = _repeat_fades(rng, draws, channel.coherence, frames)
@@ -340,7 +344,7 @@ class FbmcSystem:
         else:
             h = None
             x = s + _cnoise(rng, n0, s.shape)
-        proj = fbmc_analyze_frame(x, self.grid, nsym, bank)
+        proj = fbmc_analyze_frame(x, self.grid, nsym, self.bank)
         if h is not None:
             proj = proj / h[:, None, None]
         lo, hi = self.edge_columns, nsym - self.edge_columns

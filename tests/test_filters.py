@@ -6,6 +6,8 @@ import pytest
 from fbmcber.errors import DegenerateFilter, UnsupportedFilterOrder, UnsupportedSpreading
 from fbmcber.filters import (
     PrototypeFilter,
+    _gauss,
+    _orth_cos_coeffs,
     load_taps,
     make_egf,
     make_martin,
@@ -102,6 +104,24 @@ class TestEgf:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             make_egf(1.0, 4, 16, length=60)
+
+    @pytest.mark.parametrize("alpha, m", [(0.25, 16), (1.0, 64), (2.0, 256)])
+    def test_taps_match_full_series(self, alpha, m):
+        """Stopping the shifted-Gaussian series early changes no tap."""
+        length = 4 * m + 1
+        u = math.sqrt(2.0) * (np.arange(length) - (length - 1) / 2.0) / m
+        lat = 1.0 / math.sqrt(2.0)
+        d = _orth_cos_coeffs(1.0 / alpha, lat)
+        z = d[0] * _gauss(u, alpha)
+        for k in range(1, d.size):
+            z += 0.5 * d[k] * (_gauss(u + k / lat, alpha) + _gauss(u - k / lat, alpha))
+        jmax = int(math.ceil(math.sqrt(400.0 / (2.0 * np.pi * alpha)) / lat)) + 2
+        shifts = np.arange(-jmax, jmax + 1) * lat
+        p_time = lat * math.sqrt(2.0 * alpha) * np.exp(
+            -2.0 * np.pi * alpha * (u[:, None] - shifts[None, :]) ** 2
+        ).sum(axis=1)
+        full = normalize_energy(PrototypeFilter(z / np.sqrt(p_time), 4, "egf", alpha))
+        assert np.array_equal(make_egf(alpha, 4, m).coeffs, full.coeffs)
 
     @pytest.mark.parametrize("alpha", [0.1, 2.5, 10.0])
     def test_unsupported_spreading(self, alpha):

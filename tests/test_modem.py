@@ -3,9 +3,9 @@ import pytest
 
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
-from fbmcber.interference import epsilon
+from fbmcber.filters import make_egf
+from fbmcber.interference import FbmcGrid, epsilon, pulse
 from fbmcber.modem import (
-    fbmc_analyze,
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
@@ -61,7 +61,8 @@ class TestFbmcChain:
         a[0, 0] = 1.0
         signal = fbmc_synthesize(a, martin_grid)
         assert np.max(np.abs(signal - martin_grid.filter.coeffs)) < 1e-15
-        assert fbmc_analyze(signal, martin_grid, 0, 0) == pytest.approx(1.0, abs=1e-12)
+        proj = fbmc_analyze_frame(signal, martin_grid, 1)
+        assert proj.real[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_linearity(self, martin_grid):
         rng = np.random.default_rng(7)
@@ -79,10 +80,10 @@ class TestFbmcChain:
     def test_odd_offset_slot_is_orthogonal(self, martin_grid):
         a = np.zeros((16, 5))
         a[2, 2] = 1.0
-        signal = fbmc_synthesize(a, martin_grid)
+        proj = fbmc_analyze_frame(fbmc_synthesize(a, martin_grid), martin_grid, 5)
         # (m + n) offset odd relative to the transmitted slot
-        assert abs(fbmc_analyze(signal, martin_grid, 3, 2)) < 1e-12
-        assert abs(fbmc_analyze(signal, martin_grid, 2, 3)) < 1e-12
+        assert abs(proj.real[3, 2]) < 1e-12
+        assert abs(proj.real[2, 3]) < 1e-12
 
     def test_reconstruction_matches_interference_table(self, martin_grid):
         """analyze(synthesize(one-hot)) = (-1)^(dm*n0) eps[dm mod M, dn]."""
@@ -93,7 +94,7 @@ class TestFbmcChain:
             a = np.zeros((m_sub, n_cols))
             a[m1, n1] = 1.0
             signal = fbmc_synthesize(a, martin_grid)
-            got = fbmc_analyze(signal, martin_grid, m0, n0)
+            got = fbmc_analyze_frame(signal, martin_grid, n_cols).real[m0, n0]
             dm, dn = (m1 - m0) % m_sub, n1 - n0
             expected = 1.0 if (dm, dn) == (0, 0) else epsilon(martin_grid, dm, dn)
             expected *= (-1.0) ** ((m1 - m0) * n0)
@@ -136,11 +137,51 @@ class TestFbmcChain:
     def test_range_errors(self, martin_grid):
         signal = fbmc_synthesize(np.zeros((16, 4)), martin_grid)
         with pytest.raises(RangeError):
-            fbmc_analyze(signal, martin_grid, 0, 10)
+            fbmc_analyze_frame(signal, martin_grid, 5)
         with pytest.raises(RangeError):
-            fbmc_analyze(signal, martin_grid, 0, -1)
+            fbmc_analyze_frame(signal[:-1], martin_grid, 4)
         with pytest.raises(RangeError):
-            fbmc_analyze(signal, martin_grid, 99, 0)
+            fbmc_analyze_frame(signal, martin_grid, -1)
+
+
+class TestFbmcOracles:
+    """The matrix-product modem against separate code paths."""
+
+    @pytest.fixture(scope="class", params=[4 * 64 + 1, 4 * 64], ids=["KM+1", "KM"])
+    def egf_grid(self, request):
+        return FbmcGrid(64, make_egf(1.0, 4, 64, length=request.param))
+
+    def test_synthesis_matches_pulse_superposition(self, egf_grid):
+        rng = np.random.default_rng(21)
+        n_cols = 6
+        a = rng.normal(size=(64, n_cols))
+        signal = fbmc_synthesize(a, egf_grid)
+        expected = np.zeros(signal.size, dtype=complex)
+        for m in range(64):
+            for n in range(n_cols):
+                p = pulse(egf_grid, m, n)
+                expected[p.start : p.start + p.samples.size] += a[m, n] * p.samples
+        assert np.max(np.abs(signal - expected)) < 1e-12
+
+    def test_analysis_is_adjoint_of_synthesis(self, egf_grid):
+        rng = np.random.default_rng(22)
+        n_cols = 7
+        a = rng.normal(size=(64, n_cols))
+        length = fbmc_signal_length(egf_grid, n_cols)
+        x = rng.normal(size=length) + 1j * rng.normal(size=length)
+        lhs = np.vdot(fbmc_synthesize(a, egf_grid), x)
+        rhs = np.sum(a * fbmc_analyze_frame(x, egf_grid, n_cols))
+        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+    def test_batch_equals_single_frames(self, martin_grid):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(3, 16, 9))
+        signal = fbmc_synthesize(a, martin_grid)
+        proj = fbmc_analyze_frame(signal, martin_grid, 9)
+        for b in range(3):
+            single = fbmc_synthesize(a[b], martin_grid)
+            assert np.array_equal(signal[b], single)
+            assert np.array_equal(proj[b], fbmc_analyze_frame(single, martin_grid, 9))
 
 
 class TestOfdmChain:
