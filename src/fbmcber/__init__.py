@@ -16,7 +16,6 @@ from .analytic import (
     fbmc_awgn_exact,
     fbmc_rayleigh_approx,
     fbmc_rayleigh_exact,
-    linear_to_db,
     ofdm_awgn,
     ofdm_rayleigh,
     pam_awgn_approx,
@@ -63,8 +62,6 @@ from .interference import (
 from .modem import (
     fbmc_analyze_frame,
     fbmc_synthesize,
-    ofdm_demodulate,
-    ofdm_modulate,
     pam_demap,
     pam_map,
     qam_demap,
@@ -78,7 +75,6 @@ from .simulate import (
     SimPoint,
     SimResult,
     StopRule,
-    apply_channel,
     run_ber,
     z_scores,
 )

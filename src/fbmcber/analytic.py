@@ -1,11 +1,14 @@
 """Closed-form bit error probabilities.
 
-Single-carrier Gray-coded PAM over AWGN and frequency-flat Rayleigh
-channels (adjacent-symbol approximation and exact weighted forms), OFDM
-with a cyclic-prefix SNR penalty, and FBMC links where the residual
-self-interference of the prototype filter is averaged exactly over every
-amplitude combination of a truncated interference table (through the
-grouped offset support of `enumeration`).
+One kernel gives every curve: the Gray-coded PAM BEP averaged over all
+amplitude combinations of a truncated FBMC interference table, summed
+exactly over the grouped offset support of `enumeration`.  The exact
+forms weight the decision thresholds with the Cho-Yoon coefficients
+(Cho & Yoon, IEEE Trans. Commun. 50(7), 2002), merged per threshold;
+the approximate forms keep the adjacent-symbol term only.  Single-carrier
+PAM is the empty table, and square-QAM OFDM is the exact PAM form at the
+cyclic-prefix-reduced SNR.  Channels are AWGN and frequency-flat
+Rayleigh fading.
 
 gamma_b is the normalized SNR (bit energy over noise density), linear
 scale throughout; dB conversion happens at the CLI boundary.
@@ -42,7 +45,6 @@ __all__ = [
     "BepCurve",
     "export_curve_csv",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 log = logging.getLogger(__name__)
@@ -50,10 +52,6 @@ log = logging.getLogger(__name__)
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=np.float64))
 
 
 def q_function(x):
@@ -106,52 +104,60 @@ def _snr_scale(order: int) -> float:
     return 6.0 * pam.bits_per_symbol / (order**2 - 1)
 
 
-def _one_minus_sqrt_ratio(x):
-    """1 - sqrt(x / (x + 1)) without cancellation for large x."""
-    x = np.asarray(x, dtype=np.float64)
-    return 1.0 / ((1.0 + x) * (1.0 + np.sqrt(x / (1.0 + x))))
+def _approx_weights(order: int):
+    """The adjacent-symbol term: threshold 1 with weight N - 1."""
+    return np.array([1.0]), np.array([float(order - 1)])
+
+
+def _bep(order, eps, gamma_b, kind, form, budget=enumeration.DEFAULT_BUDGET):
+    """Gray PAM BEP averaged over every offset of the table `eps`.
+
+    2 / (N log2 N) times the offset mean of sum_theta w * K(scale *
+    (theta - x)), with K the `kind` kernel of `enumeration` and (theta,
+    w) the collapsed Cho-Yoon weights ('exact') or the adjacent-symbol
+    term ('approx').  An empty `eps` is single-carrier PAM.
+    """
+    pam = PamConstellation(order)
+    gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
+    if np.any(gamma <= 0):
+        raise ValueError("gamma_b must be positive")
+    weigh = collapsed_cho_weights if form == "exact" else _approx_weights
+    thetas, weights = weigh(order)
+    scales = np.sqrt(0.5 * _snr_scale(order) * gamma)
+    means = enumeration.reduce_offsets(
+        eps, order, scales, thetas, weights, kind, budget=budget,
+    )
+    probs = 2.0 / (order * pam.bits_per_symbol) * means
+    clipped = np.clip(probs, 0.0, 1.0)
+    if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
+        log.warning("BEP outside [0, 1] clamped (max deviation %.3g)",
+                    float(np.max(np.abs(probs - clipped))))
+    if np.ndim(gamma_b) == 0:
+        return float(clipped[0])
+    return clipped
 
 
 # ---------------------------------------------------------------------------
-# Single-carrier PAM
+# Single-carrier PAM: the empty interference table
 
 def pam_awgn_approx(order: int, gamma_b):
     """Adjacent-symbol approximation for Gray PAM over AWGN."""
-    pam = PamConstellation(order)
-    gamma = np.asarray(gamma_b, dtype=np.float64)
-    pre = 2.0 * (order - 1) / (order * pam.bits_per_symbol)
-    return pre * q_function(np.sqrt(_snr_scale(order) * gamma))
+    return _bep(order, (), gamma_b, "awgn", "approx")
 
 
 def pam_awgn_exact(order: int, gamma_b):
     """Exact Gray PAM BEP over AWGN (weighted Q-function sum)."""
-    pam = PamConstellation(order)
-    gamma = np.asarray(gamma_b, dtype=np.float64)
-    c = np.sqrt(_snr_scale(order) * gamma)
-    thetas, weights = collapsed_cho_weights(order)
-    total = sum(w * q_function(t * c) for t, w in zip(thetas, weights))
-    return 2.0 / (order * pam.bits_per_symbol) * total
+    return _bep(order, (), gamma_b, "awgn", "exact")
 
 
 def pam_rayleigh_approx(order: int, gamma_b):
     """Adjacent-symbol approximation for Gray PAM over flat Rayleigh fading."""
-    pam = PamConstellation(order)
-    gamma = np.asarray(gamma_b, dtype=np.float64)
-    pre = (order - 1) / (order * pam.bits_per_symbol)
-    return pre * _one_minus_sqrt_ratio(0.5 * _snr_scale(order) * gamma)
+    return _bep(order, (), gamma_b, "rayleigh", "approx")
 
 
 def pam_rayleigh_exact(order: int, gamma_b):
     """Exact Gray PAM BEP over flat Rayleigh fading."""
-    pam = PamConstellation(order)
-    gamma = np.asarray(gamma_b, dtype=np.float64)
-    half_scale = 0.5 * _snr_scale(order) * gamma
-    thetas, weights = collapsed_cho_weights(order)
-    total = sum(
-        w * _one_minus_sqrt_ratio(t * t * half_scale)
-        for t, w in zip(thetas, weights)
-    )
-    return 1.0 / (order * pam.bits_per_symbol) * total
+    return _bep(order, (), gamma_b, "rayleigh", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -185,53 +191,26 @@ def ofdm_rayleigh(qam_order: int, subcarriers: int, n_cp: int, gamma_b):
 
 
 # ---------------------------------------------------------------------------
-# FBMC: average the PAM forms over every interference offset
-
-def _approx_weights(order: int):
-    return np.array([1.0]), np.array([float(order - 1)])
-
-
-def _fbmc_bep(order, table, gamma_b, thetas, weights, kind, budget):
-    pam = PamConstellation(order)
-    gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
-    if np.any(gamma <= 0):
-        raise ValueError("gamma_b must be positive")
-    scales = np.sqrt(0.5 * _snr_scale(order) * gamma)
-    means = enumeration.reduce_offsets(
-        table.eps, order, scales, thetas, weights, kind, budget=budget,
-    )
-    probs = 2.0 / (order * pam.bits_per_symbol) * means
-    clipped = np.clip(probs, 0.0, 1.0)
-    if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
-        log.warning("BEP outside [0, 1] clamped (max deviation %.3g)",
-                    float(np.max(np.abs(probs - clipped))))
-    if np.isscalar(gamma_b) or np.ndim(gamma_b) == 0:
-        return float(clipped[0])
-    return clipped
-
+# FBMC: the PAM forms averaged over every offset of the truncated table
 
 def fbmc_awgn_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Approximate FBMC BEP over AWGN for a truncated interference table."""
-    thetas, weights = _approx_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights, "awgn", budget)
+    return _bep(order, table.eps, gamma_b, "awgn", "approx", budget)
 
 
 def fbmc_awgn_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Exact FBMC BEP over AWGN for a truncated interference table."""
-    thetas, weights = collapsed_cho_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights, "awgn", budget)
+    return _bep(order, table.eps, gamma_b, "awgn", "exact", budget)
 
 
 def fbmc_rayleigh_approx(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Approximate FBMC BEP over flat Rayleigh fading."""
-    thetas, weights = _approx_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights, "rayleigh", budget)
+    return _bep(order, table.eps, gamma_b, "rayleigh", "approx", budget)
 
 
 def fbmc_rayleigh_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUDGET):
     """Exact FBMC BEP over flat Rayleigh fading."""
-    thetas, weights = collapsed_cho_weights(order)
-    return _fbmc_bep(order, table, gamma_b, thetas, weights, "rayleigh", budget)
+    return _bep(order, table.eps, gamma_b, "rayleigh", "exact", budget)
 
 
 # ---------------------------------------------------------------------------

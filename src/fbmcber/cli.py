@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -58,7 +59,8 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError(f"bad grid {text!r}")
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid {text!r}")
-        n = int(round((stop - start) / step))
+        # Floor with a small slack: 0:11:3 stops at 9, 0:1:0.1 keeps 1.
+        n = math.floor((stop - start) / step + 1e-9)
         return start + step * np.arange(n + 1)
     return np.array([float(x) for x in text.split(",")])
 

@@ -127,24 +127,29 @@ def _gauss(t: np.ndarray, alpha: float) -> np.ndarray:
     return (2.0 * alpha) ** 0.25 * np.exp(-np.pi * alpha * t * t)
 
 
+def _periodized(u: np.ndarray, width: float, period: float) -> np.ndarray:
+    """period * sum_j sqrt(2*width) * exp(-2*pi*width*(u - j*period)^2).
+
+    The shifts run until the Gaussian underflows.
+    """
+    jmax = int(math.ceil(math.sqrt(400.0 / (2.0 * np.pi * width)) / period)) + 2
+    shifts = np.arange(-jmax, jmax + 1) * period
+    return period * math.sqrt(2.0 * width) * np.exp(
+        -2.0 * np.pi * width * (u[:, None] - shifts[None, :]) ** 2
+    ).sum(axis=1)
+
+
 def _orth_cos_coeffs(width: float, period: float, tol: float = 1e-18) -> np.ndarray:
     """Cosine-series coefficients of 1/sqrt(periodized squared Gaussian).
 
-    The periodization is P(u) = period * sum_j sqrt(2*width) *
-    exp(-2*pi*width*(u - j*period)^2).  Returns d_k such that
+    P(u) is `_periodized(u, width, period)`.  Returns d_k such that
     1/sqrt(P(u)) = d_0 + sum_{k>=1} d_k cos(2*pi*k*u/period), with the
     trailing coefficients below tol * max|d_k| dropped; the default tol
     is below the FFT's rounding floor, so nearly all of them are kept.
     """
     n_grid = 8192
     u = np.arange(n_grid) * (period / n_grid)
-    # Shifts until the Gaussian underflows.
-    jmax = int(math.ceil(math.sqrt(400.0 / (2.0 * np.pi * width)) / period)) + 2
-    shifts = np.arange(-jmax, jmax + 1) * period
-    p = period * math.sqrt(2.0 * width) * np.exp(
-        -2.0 * np.pi * width * (u[:, None] - shifts[None, :]) ** 2
-    ).sum(axis=1)
-    spectrum = np.fft.rfft(1.0 / np.sqrt(p)) / n_grid
+    spectrum = np.fft.rfft(1.0 / np.sqrt(_periodized(u, width, period))) / n_grid
     coeffs = spectrum.real.copy()
     coeffs[1:] *= 2.0
     mags = np.abs(coeffs)
@@ -171,12 +176,7 @@ def _egf_samples(alpha: float, t: np.ndarray) -> np.ndarray:
         if not pair.any():
             break  # later shifts lie farther out and underflow as well
         z += 0.5 * d[k] * pair
-    jmax = int(math.ceil(math.sqrt(400.0 / (2.0 * np.pi * alpha)) / lat)) + 2
-    shifts = np.arange(-jmax, jmax + 1) * lat
-    p_time = lat * math.sqrt(2.0 * alpha) * np.exp(
-        -2.0 * np.pi * alpha * (u[:, None] - shifts[None, :]) ** 2
-    ).sum(axis=1)
-    return z / np.sqrt(p_time)
+    return z / np.sqrt(_periodized(u, alpha, lat))
 
 
 def make_egf(alpha: float, K: int, M: int, length: int | None = None) -> PrototypeFilter:

@@ -1,10 +1,10 @@
 """Baseband mapping and multiplexing chains.
 
-Gray PAM/QAM bit mapping, FBMC synthesis/analysis as two matrix
-products with the bank of modulated prototypes, and cyclic-prefix OFDM
-with unitary transforms.  Bit groups are LSB-first; the Gray codeword
-of ascending level index i is i ^ (i >> 1), identical for PAM and each
-QAM dimension.
+Gray PAM/QAM bit mapping and FBMC synthesis/analysis as two matrix
+products with the bank of modulated prototypes; the cyclic-prefix OFDM
+chain is part of `simulate.OfdmSystem`.  Bit groups are LSB-first; the
+Gray codeword of ascending level index i is i ^ (i >> 1), identical for
+PAM and each QAM dimension.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "fbmc_synthesize",
     "fbmc_analyze_frame",
     "fbmc_signal_length",
-    "ofdm_modulate",
-    "ofdm_demodulate",
     "PulseBank",
 ]
 
@@ -54,12 +52,12 @@ def pam_map(bits, pam: PamConstellation) -> np.ndarray:
 
 
 def pam_demap(values, pam: PamConstellation) -> np.ndarray:
-    """Minimum-distance slicing then Gray decode, LSB-first bits."""
+    """Minimum-distance slicing then Gray decode, LSB-first int8 bits."""
     values = np.asarray(values, dtype=np.float64).ravel()
     idx = np.clip(np.rint((values + pam.order - 1) / 2.0), 0, pam.order - 1)
-    codes = pam.gray_codes[idx.astype(np.int64)]
     shifts = np.arange(pam.bits_per_symbol)
-    return ((codes[:, None] >> shifts) & 1).ravel()
+    table = ((pam.gray_codes[:, None] >> shifts) & 1).astype(np.int8)
+    return table[idx.astype(np.intp)].ravel()
 
 
 def qam_map(bits, qam: QamConstellation) -> np.ndarray:
@@ -160,30 +158,3 @@ def fbmc_analyze_frame(signal, grid: FbmcGrid, n_symbols: int,
     out = (windows @ bank.q.conj().T).transpose(0, 2, 1)
     out *= bank.chi(n_symbols).conj()[None, :, :]
     return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# OFDM
-
-def ofdm_modulate(symbols, n_cp: int) -> np.ndarray:
-    """Unitary IFFT per column plus cyclic prefix, serialized symbol-major."""
-    x = np.asarray(symbols, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ShapeError(f"symbol matrix must be 2-D, got shape {x.shape}")
-    if not 0 <= n_cp <= x.shape[0]:
-        raise ShapeError(f"cyclic prefix {n_cp} outside [0, {x.shape[0]}]")
-    body = np.fft.ifft(x, axis=0, norm="ortho")
-    with_cp = np.concatenate([body[body.shape[0] - n_cp :], body], axis=0)
-    return with_cp.T.ravel()
-
-
-def ofdm_demodulate(signal, subcarriers: int, n_cp: int) -> np.ndarray:
-    """Strip prefixes and apply the unitary FFT per symbol."""
-    x = np.asarray(signal, dtype=np.complex128).ravel()
-    block = subcarriers + n_cp
-    if x.size == 0 or x.size % block:
-        raise ShapeError(
-            f"signal length {x.size} not a multiple of M + N_cp = {block}"
-        )
-    frames = x.reshape(-1, block)[:, n_cp:]
-    return np.fft.fft(frames, axis=1, norm="ortho").T

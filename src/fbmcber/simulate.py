@@ -41,7 +41,6 @@ __all__ = [
     "PamSystem",
     "OfdmSystem",
     "FbmcSystem",
-    "apply_channel",
     "run_ber",
     "z_scores",
 ]
@@ -100,6 +99,8 @@ class SimPoint:
         binomial standard error (no frame replicates to go on)."""
         if bits <= 0:
             raise ValueError(f"a simulated point needs bits > 0, got {bits}")
+        if not 0 <= errors <= bits:
+            raise ValueError(f"error count {errors} outside [0, bits={bits}]")
         ber = errors / bits
         ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
         return cls(ebn0_db=float(ebn0_db), bits=bits, errors=errors, ber=ber,
@@ -138,6 +139,7 @@ class SimResult:
         ber and ci95 are recomputed from the integer counts and se_block
         is read at full precision, so z-scores match the original run's.
         A file without the se_block column falls back to the binomial SE.
+        A row with errors outside [0, bits] raises ValueError.
         """
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -176,20 +178,6 @@ def _repeat_fades(rng, draws_shape, coherence, total, axis=-1):
     index = [slice(None)] * gains.ndim
     index[axis] = slice(0, total)
     return gains[tuple(index)]
-
-
-def apply_channel(signal, channel: ChannelModel, n0: float, rng, gains=None):
-    """Faded/noisy copy of a time signal plus the gain actually applied.
-
-    AWGN returns (signal + noise, None).  Rayleigh applies a flat
-    complex gain (drawn unit-variance unless `gains` overrides it) and
-    then adds noise.
-    """
-    x = np.asarray(signal, dtype=np.complex128)
-    if channel.kind == "awgn":
-        return x + _cnoise(rng, n0, x.shape), None
-    h = _cgain(rng, ()) if gains is None else np.asarray(gains)
-    return h * x + _cnoise(rng, n0, x.shape), h
 
 
 # ---------------------------------------------------------------------------

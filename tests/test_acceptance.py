@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_filter
+from test_analytic import cho_yoon_reference
 from fbmcber import analytic as an
 from fbmcber.enumeration import offset_support
 from fbmcber.filters import make_egf, make_martin
@@ -155,9 +156,14 @@ class TestCriterion3ReductionOracle:
         name, fbmc_fn, pam_fn = pair
         empty = truncate(systems["martin"]["table"], 0)
         gammas = an.db_to_linear(FINE_DB)
-        diff = np.max(np.abs(fbmc_fn(8, empty, gammas) - pam_fn(8, gammas)))
-        report(f"C3 {name}: max |fbmc(kmax=0) - pam| = {diff:.2e} (tol 1e-12)")
+        pam = pam_fn(8, gammas)
+        diff = np.max(np.abs(fbmc_fn(8, empty, gammas) - pam))
+        kind, form = name.split("-")
+        ref = np.max(np.abs(pam - cho_yoon_reference(8, gammas, kind, form)))
+        report(f"C3 {name}: max |fbmc(kmax=0) - pam| = {diff:.2e}, "
+               f"max |pam - Cho-Yoon sum| = {ref:.2e} (tol 1e-12)")
         assert diff < 1e-12
+        assert ref < 1e-12
 
 
 class TestCriterion4BpskClosedForms:

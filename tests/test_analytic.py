@@ -26,6 +26,29 @@ BPSK_RAY_10 = 0.023268705377203842277
 GAMMA_GRID = an.db_to_linear(np.arange(-5.0, 40.5, 0.5))
 
 
+def cho_yoon_reference(order, gammas, kind, form="exact"):
+    """Gray PAM BEP as the plain, uncollapsed Cho-Yoon double sum.
+
+    Independent of the package kernel: every (i, k) term of cho_weights
+    is evaluated on its own, with q_function for AWGN and the textbook
+    1 - sqrt(x / (1 + x)) for Rayleigh.  form 'approx' keeps the
+    adjacent-symbol term (i = 0) with weight N - 1.
+    """
+    nb = int(math.log2(order))
+    gammas = np.asarray(gammas, dtype=np.float64)
+    snr = 6.0 * nb / (order**2 - 1) * gammas
+    terms = (an.cho_weights(order) if form == "exact"
+             else [(0, 1, order - 1)])
+    total = np.zeros_like(gammas)
+    for i, _, w in terms:
+        if kind == "awgn":
+            total += 2.0 * w * an.q_function((2 * i + 1) * np.sqrt(snr))
+        else:
+            x = 0.5 * (2 * i + 1) ** 2 * snr
+            total += w * (1.0 - np.sqrt(x / (1.0 + x)))
+    return total / (order * nb)
+
+
 def tiny_table(grid, eps_values, ns=None):
     """Interference table with hand-picked entries (for unit tests)."""
     eps = np.asarray(eps_values, dtype=np.float64)
@@ -133,6 +156,42 @@ class TestPamClosedForms:
         p1 = an.pam_rayleigh_exact(8, 1e12)
         p2 = an.pam_rayleigh_exact(8, 1e13)
         assert p2 == pytest.approx(p1 / 10.0, rel=1e-3)
+
+
+class TestPamAgainstChoYoonSum:
+    """The kernel at an empty table against the uncollapsed double sum."""
+
+    @pytest.mark.parametrize("form", ["exact", "approx"])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    def test_awgn(self, order, form):
+        fn = an.pam_awgn_exact if form == "exact" else an.pam_awgn_approx
+        want = cho_yoon_reference(order, GAMMA_GRID, "awgn", form)
+        got = fn(order, GAMMA_GRID)
+        mask = want > 1e-15
+        assert mask.sum() > 20
+        assert np.max(np.abs(got[mask] - want[mask]) / want[mask]) < 1e-12
+
+    @pytest.mark.parametrize("form", ["exact", "approx"])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    def test_rayleigh(self, order, form):
+        fn = an.pam_rayleigh_exact if form == "exact" else an.pam_rayleigh_approx
+        want = cho_yoon_reference(order, GAMMA_GRID, "rayleigh", form)
+        assert np.max(np.abs(fn(order, GAMMA_GRID) - want)) < 1e-12
+
+    def test_scalar_input_gives_float(self):
+        assert isinstance(an.pam_awgn_exact(4, 10.0), float)
+        assert isinstance(an.ofdm_rayleigh(16, 16, 2, 10.0), float)
+
+    @pytest.mark.parametrize("fn", [
+        lambda g: an.pam_awgn_exact(4, g),
+        lambda g: an.pam_rayleigh_approx(4, g),
+        lambda g: an.ofdm_awgn(16, 16, 2, g),
+    ], ids=["pam-awgn", "pam-rayleigh", "ofdm"])
+    def test_gamma_validation(self, fn):
+        with pytest.raises(ValueError):
+            fn(0.0)
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, -1.0]))
 
 
 class TestOfdm:

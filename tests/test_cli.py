@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fbmcber import analytic as an
-from fbmcber.cli import BUDGET_ERROR, COMPARE_ERROR, USAGE_ERROR, build_parser, main
+from fbmcber.cli import (
+    BUDGET_ERROR,
+    COMPARE_ERROR,
+    USAGE_ERROR,
+    _parse_grid,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +227,19 @@ class TestCompare:
 
         assert z_column("a") == z_column("b")
 
+    @pytest.mark.parametrize("row", ["6,1000,1001", "6,1000,-3"],
+                             ids=["errors-above-bits", "negative-errors"])
+    def test_impossible_counts(self, capsys, tmp_path, row):
+        sim = tmp_path / "sim.csv"
+        sim.write_text(f"ebn0_db,bits,errors\n{row}\n")
+        code, _, err = run_cli(
+            capsys, "compare", "--system", "pam", "--np", "2",
+            "--ebn0", "6", "--sim-csv", str(sim),
+            "--out", str(tmp_path / "cmp"),
+        )
+        assert code == USAGE_ERROR
+        assert "error count" in err
+
     def test_divergence_exit_code(self, capsys, tmp_path):
         # A deliberately wrong analytic target (BPSK curve vs 8-PAM sim).
         sim = tmp_path / "sim.csv"
@@ -243,3 +263,14 @@ class TestGridParsing:
             "--ebn0", "10:0:1", "--out", str(tmp_path / "x"),
         )
         assert code == USAGE_ERROR
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0:11:3", [0.0, 3.0, 6.0, 9.0]),
+        ("0:12:3", [0.0, 3.0, 6.0, 9.0, 12.0]),
+        ("0:1:0.1", [0.1 * i for i in range(11)]),
+        ("5:5", [5.0]),
+        ("0,2.5", [0.0, 2.5]),
+    ])
+    def test_range_stops_at_or_before_stop(self, text, expected):
+        assert np.allclose(_parse_grid(text), expected, rtol=0, atol=1e-12)
+        assert len(_parse_grid(text)) == len(expected)

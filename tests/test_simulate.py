@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fbmcber import analytic as an
+from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
+from fbmcber.filters import make_martin
 from fbmcber.interference import FbmcGrid
 from fbmcber.modem import fbmc_analyze_frame, fbmc_signal_length
 from fbmcber.simulate import (
@@ -14,7 +16,6 @@ from fbmcber.simulate import (
     PamSystem,
     SimResult,
     StopRule,
-    apply_channel,
     run_ber,
     z_scores,
 )
@@ -23,28 +24,32 @@ AWGN = ChannelModel("awgn")
 RAYLEIGH = ChannelModel("rayleigh")
 
 
-class TestApplyChannel:
-    def test_awgn_zero_noise_identity(self):
+class TestChannel:
+    def test_zero_noise_density_adds_nothing(self):
         rng = np.random.default_rng(0)
-        signal = np.arange(8, dtype=complex)
-        received, gain = apply_channel(signal, AWGN, 0.0, rng)
-        assert np.array_equal(received, signal)
-        assert gain is None
-
-    def test_forced_unit_gain_reduces_to_awgn(self):
-        rng = np.random.default_rng(1)
-        signal = np.arange(8, dtype=complex)
-        received, gain = apply_channel(signal, RAYLEIGH, 0.0, rng, gains=1.0)
-        assert np.allclose(received, signal)
-        assert gain == 1.0
+        assert not simulate._cnoise(rng, 0.0, 8).any()
 
     def test_noise_variance_calibrated(self):
         rng = np.random.default_rng(2)
         n0 = 0.37
-        received, _ = apply_channel(np.zeros(1_000_000), AWGN, n0, rng)
-        measured = np.mean(np.abs(received) ** 2)
-        assert measured == pytest.approx(n0, rel=0.01)
-        assert np.var(received.real) == pytest.approx(n0 / 2, rel=0.01)
+        noise = simulate._cnoise(rng, n0, 1_000_000)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(n0, rel=0.01)
+        assert np.var(noise.real) == pytest.approx(n0 / 2, rel=0.01)
+
+    def test_fades_have_unit_power_and_hold_for_coherence(self):
+        rng = np.random.default_rng(1)
+        gains = simulate._repeat_fades(rng, 200_000, 3, 599_999)
+        assert gains.size == 599_999
+        assert np.array_equal(gains[0:3], np.full(3, gains[0]))
+        assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.01)
+
+    # OFDM's zero-forcing round trip is in test_modem.TestOfdmChain.
+    @pytest.mark.parametrize("system", [
+        PamSystem(8), FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))),
+    ], ids=["pam", "fbmc"])
+    def test_zero_forcing_round_trip(self, system):
+        res = run_ber(system, RAYLEIGH, [120.0], StopRule(1, 100_000), seed=3)
+        assert res.points[0].errors == 0
 
     def test_bad_channel_kind(self):
         with pytest.raises(ValueError):
@@ -156,6 +161,13 @@ class TestResultContainer:
         assert int(fields[1]) == res.points[0].bits
         assert SimResult.from_csv(path).points == res.points
 
+    @pytest.mark.parametrize("errors", [501, -1])
+    def test_from_csv_rejects_impossible_counts(self, tmp_path, errors):
+        path = tmp_path / "sim.csv"
+        path.write_text(f"ebn0_db,bits,errors\n4,500,{errors}\n")
+        with pytest.raises(ValueError, match="error count"):
+            SimResult.from_csv(path)
+
     def test_min_frames_extends_run(self):
         quick = run_ber(FbmcSystem(8, FbmcGrid(16, _martin()), frame_symbols=48),
                         RAYLEIGH, [0.0], StopRule(50, 10_000_000, min_frames=1),
@@ -173,8 +185,6 @@ class TestResultContainer:
 
 
 def _martin():
-    from fbmcber.filters import make_martin
-
     return make_martin(4, 16)
 
 
