@@ -284,7 +284,7 @@ def cmd_compare(args, parser) -> int:
         "config": result.config, "worst_abs_z": worst,
     })
     print(f"wrote {csv_path} (worst |z| = {worst:.2f})")
-    if worst > 3.0:
+    if not worst <= 3.0:  # a NaN z fails too
         print("comparison FAILED: at least one point beyond 3 sigma",
               file=sys.stderr)
         return COMPARE_ERROR

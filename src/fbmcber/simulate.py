@@ -4,8 +4,10 @@ Noise is calibrated so the real decision statistic sees variance N0/2
 with gamma_b = E_s / (N_b * N0); OFDM additionally pays the cyclic
 prefix SNR penalty through its time-domain noise density.  Rayleigh
 fading uses unit-variance complex gains with genie one-tap
-zero-forcing: a common flat gain per FBMC frame (which the projection
-step passes through exactly) and i.i.d. per-subcarrier gains for OFDM.
+zero-forcing: a common flat gain per FBMC frame, by which the received
+frame is divided before the real-field analysis (the gain is constant
+over every pulse, so this equals zero-forcing each projection), and
+i.i.d. per-subcarrier gains for OFDM.
 
 Randomness is drawn from counter-based substreams: the generator of
 batch b of SNR point i is seeded with (master_seed, i, b), so a given
@@ -96,11 +98,15 @@ class SimPoint:
     @classmethod
     def from_counts(cls, ebn0_db, bits, errors, se_block=None) -> "SimPoint":
         """Point from its bit and error counts; se_block defaults to the
-        binomial standard error (no frame replicates to go on)."""
+        binomial standard error (no frame replicates to go on) and must
+        otherwise be finite and non-negative."""
         if bits <= 0:
             raise ValueError(f"a simulated point needs bits > 0, got {bits}")
         if not 0 <= errors <= bits:
             raise ValueError(f"error count {errors} outside [0, bits={bits}]")
+        if se_block is not None and not (math.isfinite(se_block)
+                                         and se_block >= 0.0):
+            raise ValueError(f"se_block {se_block} is not a finite SE >= 0")
         ber = errors / bits
         ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
         return cls(ebn0_db=float(ebn0_db), bits=bits, errors=errors, ber=ber,
@@ -139,7 +145,8 @@ class SimResult:
         ber and ci95 are recomputed from the integer counts and se_block
         is read at full precision, so z-scores match the original run's.
         A file without the se_block column falls back to the binomial SE.
-        A row with errors outside [0, bits] raises ValueError.
+        A row with errors outside [0, bits] or a non-finite or negative
+        se_block raises ValueError.
         """
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -329,14 +336,12 @@ class FbmcSystem:
             draws = -(-frames // channel.coherence)
             h = _repeat_fades(rng, draws, channel.coherence, frames)
             x = h[:, None] * s + _cnoise(rng, n0, s.shape)
+            x /= h[:, None]
         else:
-            h = None
             x = s + _cnoise(rng, n0, s.shape)
-        proj = fbmc_analyze_frame(x, self.grid, nsym, self.bank)
-        if h is not None:
-            proj = proj / h[:, None, None]
+        stats = fbmc_analyze_frame(x, self.grid, nsym, self.bank)
         lo, hi = self.edge_columns, nsym - self.edge_columns
-        data = proj.real[:, :, lo:hi]
+        data = stats[:, :, lo:hi]
         tx_bits = bits.reshape(frames, m, nsym, bps)[:, :, lo:hi, :]
         wrong = tx_bits.ravel() != pam_demap(data.ravel(), pam)
         return wrong.reshape(frames, self.frame_bits).sum(axis=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fbmcber import analytic as an
+from fbmcber import cli
 from fbmcber.cli import (
     BUDGET_ERROR,
     COMPARE_ERROR,
@@ -239,6 +240,31 @@ class TestCompare:
         )
         assert code == USAGE_ERROR
         assert "error count" in err
+
+    @pytest.mark.parametrize("se_block", ["nan", "inf", "-1e-3"])
+    def test_bad_se_block(self, capsys, tmp_path, se_block):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("ebn0_db,bits,errors,ber,ci95,se_block\n"
+                       f"6,100000,5000,5.0e-2,1.4e-3,{se_block}\n")
+        code, _, err = run_cli(
+            capsys, "compare", "--system", "pam", "--np", "2",
+            "--ebn0", "6", "--sim-csv", str(sim),
+            "--out", str(tmp_path / "cmp"),
+        )
+        assert code == USAGE_ERROR
+        assert "se_block" in err
+
+    def test_non_finite_z_fails(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "z_scores", lambda result, prob: np.array([np.nan]))
+        sim = tmp_path / "sim.csv"
+        sim.write_text("ebn0_db,bits,errors\n6,100000,3\n")
+        code, _, _ = run_cli(
+            capsys, "compare", "--system", "pam", "--np", "2",
+            "--ebn0", "6", "--sim-csv", str(sim),
+            "--out", str(tmp_path / "cmp"),
+        )
+        assert code == COMPARE_ERROR
+        assert "DIVERGENT" in (tmp_path / "cmp.csv").read_text()
 
     def test_divergence_exit_code(self, capsys, tmp_path):
         # A deliberately wrong analytic target (BPSK curve vs 8-PAM sim).

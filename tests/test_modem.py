@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fbmcber import modem
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
 from fbmcber.filters import make_egf
 from fbmcber.interference import FbmcGrid, epsilon, pulse
 from fbmcber.modem import (
+    PulseBank,
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
@@ -168,9 +170,39 @@ class TestFbmcOracles:
         a = rng.normal(size=(64, n_cols))
         length = fbmc_signal_length(egf_grid, n_cols)
         x = rng.normal(size=length) + 1j * rng.normal(size=length)
-        lhs = np.vdot(fbmc_synthesize(a, egf_grid), x)
+        # synthesis is real-linear, so its adjoint is Re<x|S a>
+        lhs = np.vdot(fbmc_synthesize(a, egf_grid), x).real
         rhs = np.sum(a * fbmc_analyze_frame(x, egf_grid, n_cols))
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+    def test_analysis_matches_pulse_projections(self, egf_grid):
+        rng = np.random.default_rng(24)
+        n_cols = 6
+        length = fbmc_signal_length(egf_grid, n_cols)
+        x = rng.normal(size=length) + 1j * rng.normal(size=length)
+        stats = fbmc_analyze_frame(x, egf_grid, n_cols)
+        assert stats.dtype == np.float64 and stats.shape == (64, n_cols)
+        expected = np.empty((64, n_cols))
+        for m in range(64):
+            for n in range(n_cols):
+                p = pulse(egf_grid, m, n)
+                window = x[p.start : p.start + p.samples.size]
+                expected[m, n] = np.vdot(p.samples, window).real
+        assert np.max(np.abs(stats - expected)) < 1e-12
+
+    def test_phase_fold(self, egf_grid):
+        """p[m, n+2] is -p[m, n] one symbol (M samples) later, so the two
+        parity banks and the column signs give every pulse."""
+        bank = PulseBank(egf_grid)
+        n_cols = 8
+        signs = bank.signs(n_cols)
+        assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
+        fold = bank.folded.view(np.complex128)
+        for m in (0, 1, 2, 3, 37, 63):
+            for n in range(n_cols):
+                p = pulse(egf_grid, m, n).samples
+                assert np.max(np.abs(pulse(egf_grid, m, n + 2).samples + p)) < 1e-12
+                assert np.max(np.abs(signs[n] * fold[n % 2, m] - p)) < 1e-12
 
     def test_batch_equals_single_frames(self, martin_grid):
         rng = np.random.default_rng(23)
@@ -181,6 +213,28 @@ class TestFbmcOracles:
             single = fbmc_synthesize(a[b], martin_grid)
             assert np.array_equal(signal[b], single)
             assert np.array_equal(proj[b], fbmc_analyze_frame(single, martin_grid, 9))
+
+    def test_empty_batch(self, martin_grid):
+        signal = fbmc_synthesize(np.zeros((0, 16, 9)), martin_grid)
+        assert signal.shape == (0, fbmc_signal_length(martin_grid, 9))
+        assert fbmc_analyze_frame(signal, martin_grid, 9).shape == (0, 16, 9)
+
+    def test_batch_spanning_two_slices(self, martin_grid):
+        frames, n_cols = 460, 9
+        assert modem.SLICE_COLUMNS < frames * n_cols <= 2 * modem.SLICE_COLUMNS
+        # and each slice's products run in several parts of PRODUCT_ROWS rows
+        assert frames // 2 * (n_cols // 2) > 2 * modem.PRODUCT_ROWS
+        rng = np.random.default_rng(25)
+        a = rng.normal(size=(frames, 16, n_cols))
+        signal = fbmc_synthesize(a, martin_grid)
+        x = signal + rng.normal(size=signal.shape) + 1j * rng.normal(size=signal.shape)
+        stats = fbmc_analyze_frame(x, martin_grid, n_cols)
+        worst = 0.0
+        for b in range(frames):
+            assert np.array_equal(signal[b], fbmc_synthesize(a[b], martin_grid))
+            single = fbmc_analyze_frame(x[b], martin_grid, n_cols)
+            worst = max(worst, np.max(np.abs(stats[b] - single)))
+        assert worst < 1e-14
 
 
 class TestOfdmChain:
