@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 enumeration budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -38,6 +40,7 @@ from .simulate import (
     PamSystem,
     SimResult,
     StopRule,
+    _se_terms,
     run_ber,
     z_scores,
 )
@@ -245,6 +248,7 @@ def cmd_simulate(args, parser) -> int:
     result.to_csv(csv_path)
     _write_manifest(manifest_path, {
         "command": "simulate", "seed": result.seed, "config": result.config,
+        "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path}")
     return 0
@@ -282,11 +286,19 @@ def cmd_compare(args, parser) -> int:
     _write_manifest(manifest_path, {
         "command": "compare", "model": curve.model, "seed": result.seed,
         "config": result.config, "worst_abs_z": worst,
+        "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path} (worst |z| = {worst:.2f})")
-    if not worst <= 3.0:  # a NaN z fails too
-        print("comparison FAILED: at least one point beyond 3 sigma",
-              file=sys.stderr)
+    failing = [i for i, z in enumerate(zs) if not abs(z) <= 3.0]  # NaN fails
+    if failing:
+        print(f"comparison FAILED at {len(failing)} of {len(zs)} points "
+              "beyond 3 sigma:", file=sys.stderr)
+        for i in failing:
+            point = result.points[i]
+            terms = _se_terms(point, curve.prob[i])
+            source = max(terms, key=terms.get)
+            print(f"  {point.ebn0_db:g} dB: z = {zs[i]:+.2f}, "
+                  f"SE {terms[source]:.3e} from {source}", file=sys.stderr)
         return COMPARE_ERROR
     return 0
 
@@ -385,8 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main()'s parser, built once per process; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = parser.parse_args(argv)
     try:

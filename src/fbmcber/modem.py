@@ -49,7 +49,7 @@ def pam_map(bits, pam: PamConstellation) -> np.ndarray:
     codes = groups[:, 0].astype(np.intp)
     for b in range(1, pam.bits_per_symbol):
         codes |= np.left_shift(groups[:, b], b, dtype=np.intp)
-    return pam.levels[_gray_inverse(pam)][codes]
+    return np.take(pam.levels[_gray_inverse(pam)], codes)
 
 
 def pam_demap(values, pam: PamConstellation) -> np.ndarray:
@@ -58,23 +58,25 @@ def pam_demap(values, pam: PamConstellation) -> np.ndarray:
     idx = np.clip(np.rint((values + pam.order - 1) / 2.0), 0, pam.order - 1)
     shifts = np.arange(pam.bits_per_symbol)
     table = ((pam.gray_codes[:, None] >> shifts) & 1).astype(np.int8)
-    return table[idx.astype(np.intp)].ravel()
+    return np.take(table, idx.astype(np.intp), axis=0).ravel()
 
 
 def qam_map(bits, qam: QamConstellation) -> np.ndarray:
     """Square QAM symbols; first N_b bits map in-phase, next N_b quadrature."""
     groups = _bits_matrix(bits, qam.bits_per_symbol)
     half = qam.pam.bits_per_symbol
-    i_part = pam_map(groups[:, :half].ravel(), qam.pam)
-    q_part = pam_map(groups[:, half:].ravel(), qam.pam)
-    return i_part + 1j * q_part
+    out = np.empty(groups.shape[0], dtype=np.complex128)
+    out.real = pam_map(groups[:, :half].ravel(), qam.pam)
+    out.imag = pam_map(groups[:, half:].ravel(), qam.pam)
+    return out
 
 
 def qam_demap(values, qam: QamConstellation) -> np.ndarray:
     values = np.asarray(values).ravel()
-    i_bits = pam_demap(values.real, qam.pam).reshape(values.size, -1)
-    q_bits = pam_demap(values.imag, qam.pam).reshape(values.size, -1)
-    return np.concatenate([i_bits, q_bits], axis=1).ravel()
+    out = np.empty((values.size, 2, qam.pam.bits_per_symbol), dtype=np.int8)
+    out[:, 0] = pam_demap(values.real, qam.pam).reshape(values.size, -1)
+    out[:, 1] = pam_demap(values.imag, qam.pam).reshape(values.size, -1)
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +175,10 @@ def fbmc_synthesize(symbols, grid: FbmcGrid, bank: PulseBank | None = None):
             f"symbol array must be (M, N) or (B, M, N) with M={grid.subcarriers}, "
             f"got {np.asarray(symbols).shape}"
         )
-    bank = bank or PulseBank(grid)
     n_symbols = a.shape[2]
+    if n_symbols < 1:
+        raise RangeError("a frame needs at least one symbol column")
+    bank = bank or PulseBank(grid)
     signs = bank.signs(n_symbols)
     m_sub, lp = grid.subcarriers, grid.filter.length
     signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
@@ -204,8 +208,8 @@ def fbmc_analyze_frame(signal, grid: FbmcGrid, n_symbols: int,
     single = x.ndim == 1
     if single:
         x = x[None]
-    if n_symbols < 0:
-        raise RangeError(f"symbol count {n_symbols} is negative")
+    if n_symbols < 1:
+        raise RangeError(f"symbol count {n_symbols} is not positive")
     needed = fbmc_signal_length(grid, n_symbols)
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")

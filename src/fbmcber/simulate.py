@@ -3,15 +3,15 @@
 Noise is calibrated so the real decision statistic sees variance N0/2
 with gamma_b = E_s / (N_b * N0); OFDM additionally pays the cyclic
 prefix SNR penalty through its time-domain noise density.  Rayleigh
-fading uses unit-variance complex gains with genie one-tap
-zero-forcing: a common flat gain per FBMC frame, by which the received
-frame is divided before the real-field analysis (the gain is constant
-over every pulse, so this equals zero-forcing each projection), and
-i.i.d. per-subcarrier gains for OFDM.
-
-Randomness is drawn from counter-based substreams: the generator of
-batch b of SNR point i is seeded with (master_seed, i, b), so a given
-seed and configuration reproduce results bit for bit.
+fading uses genie one-tap zero-forcing, h*s + n -> s + n/h.  As n is
+circular, n/h is distributed as n/|h|: the fade phase moves no count,
+so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
+per subcarrier and OFDM symbol (OFDM) or per frame (FBMC), each held
+for `coherence` such units.  A batch draws, in this order, the bits,
+the fades (Rayleigh only) and one interleaved standard_normal noise
+array (complex for OFDM and FBMC).  The generator of batch b of SNR
+point i is seeded with (master_seed, i, b), so a given seed and
+configuration reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ class SimPoint:
     ci95: float
     se_block: float
     upper_bound_only: bool = False
+    # How run_ber reached the point; not in the CSV, so None when read
+    # back, and left out of comparisons.  stop is 'min_errors' (error and
+    # frame targets met), 'max_bits' or 'target_rel_se'.
+    frames: int | None = field(default=None, compare=False)
+    batches: int | None = field(default=None, compare=False)
+    stop: str | None = field(default=None, compare=False)
 
     @classmethod
     def from_counts(cls, ebn0_db, bits, errors, se_block=None) -> "SimPoint":
@@ -166,25 +172,35 @@ class SimResult:
         return cls(points=points, seed=-1)
 
 
-def _cnoise(rng, n0: float, shape) -> np.ndarray:
-    if n0 == 0.0:
-        return np.zeros(shape, dtype=np.complex128)
+def _bits(rng, n: int) -> np.ndarray:
+    """n uniform bits as int8, eight to a drawn byte."""
+    raw = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=n).view(np.int8)
+
+
+def _fades(rng, channel: ChannelModel, shape) -> np.ndarray | None:
+    """Rayleigh fade amplitudes |h| = sqrt(Exp(1)) over the last axis of
+    shape, each held for channel.coherence entries; None under AWGN."""
+    if channel.kind == "awgn":
+        return None
+    *lead, units = shape
+    draws = -(-units // channel.coherence)
+    amp = np.sqrt(rng.standard_exponential((*lead, draws)))
+    return np.repeat(amp, channel.coherence, axis=-1)[..., :units]
+
+
+def _noise(rng, n0: float, shape, dtype=np.float64, fades=None) -> np.ndarray:
+    """Gaussian noise of variance n0/2 per real dimension, one interleaved
+    standard_normal draw viewed as dtype (complex noise is circular).
+
+    fades, one amplitude per index of the first axis, gives the
+    zero-forced noise n/|h|.
+    """
+    dims = np.dtype(dtype).itemsize // 8
+    z = rng.standard_normal(dims * math.prod(shape)).reshape(shape[0], -1)
     sigma = math.sqrt(n0 / 2.0)
-    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def _cgain(rng, shape) -> np.ndarray:
-    return math.sqrt(0.5) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-
-
-def _repeat_fades(rng, draws_shape, coherence, total, axis=-1):
-    gains = _cgain(rng, draws_shape)
-    gains = np.repeat(gains, coherence, axis=axis)
-    index = [slice(None)] * gains.ndim
-    index[axis] = slice(0, total)
-    return gains[tuple(index)]
+    z *= sigma if fades is None else (sigma / fades)[:, None]
+    return z.view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +230,11 @@ class PamSystem:
 
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         pam = self.constellation
-        n0 = self.noise_density(gamma_b)
         n = frames * self.frame_symbols
-        bits = rng.integers(0, 2, n * pam.bits_per_symbol, dtype=np.int8)
-        a = pam_map(bits, pam)
-        if channel.kind == "awgn":
-            y = a + rng.normal(0.0, math.sqrt(n0 / 2.0), n)
-        else:
-            draws = -(-n // channel.coherence)
-            h = _repeat_fades(rng, draws, channel.coherence, n)
-            x = h * a + _cnoise(rng, n0, n)
-            y = (x / h).real
+        bits = _bits(rng, n * pam.bits_per_symbol)
+        h = _fades(rng, channel, (n,))
+        y = _noise(rng, self.noise_density(gamma_b), (n,), fades=h)
+        y += pam_map(bits, pam)
         wrong = bits != pam_demap(y, pam)
         return wrong.reshape(frames, self.frame_bits).sum(axis=1)
 
@@ -260,19 +270,19 @@ class OfdmSystem:
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         qam = self.constellation
         m, nsym = self.subcarriers, self.frame_symbols
-        n0 = self.noise_density(gamma_b)
-        bits = rng.integers(0, 2, frames * self.frame_bits, dtype=np.int8)
+        bits = _bits(rng, frames * self.frame_bits)
+        h = _fades(rng, channel, (frames, m, nsym))
         x = qam_map(bits, qam).reshape(frames, m, nsym)
-        if channel.kind == "rayleigh":
-            draws = -(-nsym // channel.coherence)
-            h = _repeat_fades(rng, (frames, m, draws), channel.coherence, nsym)
-            x = h * x
+        if h is not None:
+            x *= h
         body = np.fft.ifft(x, axis=1, norm="ortho")
-        with_cp = np.concatenate([body[:, m - self.n_cp :, :], body], axis=1)
-        rx = with_cp + _cnoise(rng, n0, with_cp.shape)
+        rx = _noise(rng, self.noise_density(gamma_b),
+                    (frames, m + self.n_cp, nsym), np.complex128)
+        rx[:, self.n_cp :] += body
+        rx[:, : self.n_cp] += body[:, m - self.n_cp :]
         y = np.fft.fft(rx[:, self.n_cp :, :], axis=1, norm="ortho")
-        if channel.kind == "rayleigh":
-            y = y / h
+        if h is not None:
+            y /= h
         wrong = bits != qam_demap(y.ravel(), qam)
         return wrong.reshape(frames, self.frame_bits).sum(axis=1)
 
@@ -328,17 +338,12 @@ class FbmcSystem:
         pam = self.constellation
         m, nsym = self.grid.subcarriers, self.frame_symbols
         bps = pam.bits_per_symbol
-        n0 = self.noise_density(gamma_b)
-        bits = rng.integers(0, 2, frames * m * nsym * bps, dtype=np.int8)
+        bits = _bits(rng, frames * m * nsym * bps)
+        h = _fades(rng, channel, (frames,))
         a = pam_map(bits, pam).reshape(frames, m, nsym)
         s = fbmc_synthesize(a, self.grid, self.bank)
-        if channel.kind == "rayleigh":
-            draws = -(-frames // channel.coherence)
-            h = _repeat_fades(rng, draws, channel.coherence, frames)
-            x = h[:, None] * s + _cnoise(rng, n0, s.shape)
-            x /= h[:, None]
-        else:
-            x = s + _cnoise(rng, n0, s.shape)
+        x = _noise(rng, self.noise_density(gamma_b), s.shape, np.complex128, h)
+        x += s
         stats = fbmc_analyze_frame(x, self.grid, nsym, self.bank)
         lo, hi = self.edge_columns, nsym - self.edge_columns
         data = stats[:, :, lo:hi]
@@ -379,14 +384,17 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
             frames_done += frames
             batch_idx += 1
             if bits >= stop.max_bits:
+                reason = "max_bits"
                 break
             if errors < stop.min_errors or frames_done < stop.min_frames:
                 continue
+            reason = "min_errors"
             if stop.target_rel_se is not None and errors:
                 per_frame = np.concatenate(frame_errors)
                 se = per_frame.std(ddof=1) / math.sqrt(per_frame.size)
                 if se > stop.target_rel_se * per_frame.mean():
                     continue
+                reason = "target_rel_se"
             break
         per_frame = np.concatenate(frame_errors)
         se_block = None
@@ -395,7 +403,9 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
                 per_frame.std(ddof=1)
                 / math.sqrt(per_frame.size) / system.frame_bits
             )
-        points.append(SimPoint.from_counts(db, bits, errors, se_block))
+        point = SimPoint.from_counts(db, bits, errors, se_block)
+        point.frames, point.batches, point.stop = frames_done, batch_idx, reason
+        points.append(point)
     config = {
         **system.describe(),
         "channel": channel.kind,
@@ -407,6 +417,14 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
         "ebn0_db": [float(x) for x in ebn0_db],
     }
     return SimResult(points=points, seed=seed, config=config)
+
+
+def _se_terms(point: SimPoint, bep: float) -> dict[str, float]:
+    """The standard errors z_scores chooses from, binomial first, so a
+    tie with the binomial default of se_block names the binomial SE."""
+    return {"binomial": point.ci95 / 1.96,
+            "implied": math.sqrt(max(bep * (1.0 - bep), 0.0) / point.bits),
+            "se_block": point.se_block}
 
 
 def z_scores(result: SimResult, probs) -> np.ndarray:
@@ -423,8 +441,6 @@ def z_scores(result: SimResult, probs) -> np.ndarray:
                          f"{len(result.points)} simulated points")
     out = np.empty(probs.size)
     for i, (point, bep) in enumerate(zip(result.points, probs)):
-        binom = point.ci95 / 1.96
-        implied = math.sqrt(max(bep * (1.0 - bep), 0.0) / point.bits)
-        se = max(point.se_block, binom, implied, 1e-300)
+        se = max(*_se_terms(point, bep).values(), 1e-300)
         out[i] = (point.ber - bep) / se
     return out

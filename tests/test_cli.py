@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbmcber import analytic as an
-from fbmcber import cli
+from fbmcber import cli, simulate
 from fbmcber.cli import (
     BUDGET_ERROR,
     COMPARE_ERROR,
@@ -146,6 +150,53 @@ class TestSimulate:
         assert manifest["seed"] == 11  # flag beats config file
         assert manifest["config"]["min_errors"] == 40
 
+    @pytest.mark.parametrize("stop,flags", [
+        ("max_bits", ["--ebn0", "4", "--min-errors", "10000000",
+                      "--max-bits", "500000"]),
+        ("min_errors", ["--ebn0", "0", "--min-errors", "50"]),
+        ("target_rel_se", ["--ebn0", "0", "--min-errors", "50",
+                           "--target-rel-se", "0.5"]),
+    ])
+    def test_manifest_records_how_points_stopped(self, capsys, tmp_path, stop,
+                                                 flags):
+        base = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, "simulate", "--system", "pam", "--np", "8",
+                             *flags, "--seed", "4", "--out", base)
+        assert code == 0
+        (point,) = json.loads(Path(base + ".manifest.json").read_text())["points"]
+        assert point["stop"] == stop
+        frame_bits = simulate.PamSystem(8).frame_bits
+        schedule = [simulate._batch_frames(b, frame_bits)
+                    for b in range(point["batches"])]
+        assert point["frames"] == sum(schedule)
+        assert point["bits"] == point["frames"] * frame_bits
+        if stop == "max_bits":
+            assert point["batches"] == 2 and point["bits"] >= 500_000
+            assert point["bits"] - schedule[-1] * frame_bits < 500_000
+        else:
+            assert point["batches"] == 1 and point["errors"] >= 50
+        assert set(point) >= {"ebn0_db", "errors", "se_block", "upper_bound_only"}
+        csv = (tmp_path / "run.csv").read_text().splitlines()[0]
+        assert csv == "ebn0_db,bits,errors,ber,ci95,se_block"
+
+    def test_config_run_leaves_no_state(self, capsys, tmp_path):
+        """A --config run then a plain run of another subcommand in one
+        process writes what two fresh processes write."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min-errors = 40\nebn0 = 2:4:2\nseed = 9\nnp = 4\n")
+        runs = [["simulate", "--system", "pam", "--config", str(cfg),
+                 "--max-bits", "100000"],
+                ["bep", "--system", "pam", "--ebn0", "0:4:2"]]
+        for i, argv in enumerate(runs):
+            assert run_cli(capsys, *argv, "--out", str(tmp_path / f"in{i}"))[0] == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for i, argv in enumerate(runs):
+            subprocess.run([sys.executable, "-m", "fbmcber.cli", *argv,
+                            "--out", str(tmp_path / f"fresh{i}")],
+                           check=True, env=env, capture_output=True, timeout=120)
+            assert ((tmp_path / f"in{i}.csv").read_bytes()
+                    == (tmp_path / f"fresh{i}.csv").read_bytes())
+
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")
@@ -258,25 +309,48 @@ class TestCompare:
         monkeypatch.setattr(cli, "z_scores", lambda result, prob: np.array([np.nan]))
         sim = tmp_path / "sim.csv"
         sim.write_text("ebn0_db,bits,errors\n6,100000,3\n")
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "compare", "--system", "pam", "--np", "2",
             "--ebn0", "6", "--sim-csv", str(sim),
             "--out", str(tmp_path / "cmp"),
         )
         assert code == COMPARE_ERROR
         assert "DIVERGENT" in (tmp_path / "cmp.csv").read_text()
+        assert "FAILED at 1 of 1 points" in err
+        assert "6 dB: z = +nan" in err
 
     def test_divergence_exit_code(self, capsys, tmp_path):
-        # A deliberately wrong analytic target (BPSK curve vs 8-PAM sim).
+        # A deliberately wrong analytic target (BPSK curve vs 8-PAM sim);
+        # the message names the failing point and the SE that set its z.
         sim = tmp_path / "sim.csv"
-        sim.write_text("ebn0_db,bits,errors,ber,ci95\n"
-                       "6,100000,5000,5.0e-2,1.4e-3\n")
+        for se_block, source in (("", "binomial"), (",1e-2", "se_block"),
+                                 (",1e-5", "binomial")):
+            header = "ebn0_db,bits,errors,ber,ci95" + (",se_block" if se_block else "")
+            sim.write_text(f"{header}\n"
+                           f"0,100000,7900,7.9e-2,1.7e-3{se_block}\n"
+                           f"6,100000,5000,5.0e-2,1.4e-3{se_block}\n")
+            code, _, err = run_cli(
+                capsys, "compare", "--system", "pam", "--np", "2",
+                "--ebn0", "0,6", "--sim-csv", str(sim),
+                "--out", str(tmp_path / "cmp"),
+            )
+            assert code == COMPARE_ERROR
+            lines = err.strip().splitlines()
+            assert lines[0] == "comparison FAILED at 1 of 2 points beyond 3 sigma:"
+            assert lines[1].startswith("  6 dB: z = +")
+            assert lines[1].endswith(f"from {source}")
+            assert len(lines) == 2
+
+    def test_implied_se_named(self, capsys, tmp_path):
+        # No errors where the curve expects many: the analytic SE is largest.
+        sim = tmp_path / "sim.csv"
+        sim.write_text("ebn0_db,bits,errors\n0,100000,0\n")
         code, _, err = run_cli(
-            capsys, "compare", "--system", "pam", "--np", "2",
-            "--ebn0", "6:6:1", "--sim-csv", str(sim),
-            "--out", str(tmp_path / "cmp"),
+            capsys, "compare", "--system", "pam", "--np", "2", "--ebn0", "0",
+            "--sim-csv", str(sim), "--out", str(tmp_path / "cmp"),
         )
         assert code == COMPARE_ERROR
+        assert "0 dB: z = -" in err and err.rstrip().endswith("from implied")
 
 
 class TestGridParsing:

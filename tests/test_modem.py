@@ -143,6 +143,11 @@ class TestFbmcChain:
             fbmc_analyze_frame(signal[:-1], martin_grid, 4)
         with pytest.raises(RangeError):
             fbmc_analyze_frame(signal, martin_grid, -1)
+        with pytest.raises(RangeError):
+            fbmc_analyze_frame(signal, martin_grid, 0)
+        for empty in (np.zeros((16, 0)), np.zeros((3, 16, 0))):
+            with pytest.raises(RangeError):
+                fbmc_synthesize(empty, martin_grid)
 
 
 class TestFbmcOracles:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fbmcber import analytic as an
 from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
 from fbmcber.filters import make_martin
 from fbmcber.interference import FbmcGrid
-from fbmcber.modem import fbmc_analyze_frame, fbmc_signal_length
+from fbmcber.modem import fbmc_analyze_frame, fbmc_signal_length, pam_demap, pam_map
 from fbmcber.simulate import (
     ChannelModel,
     FbmcSystem,
@@ -27,21 +28,75 @@ RAYLEIGH = ChannelModel("rayleigh")
 class TestChannel:
     def test_zero_noise_density_adds_nothing(self):
         rng = np.random.default_rng(0)
-        assert not simulate._cnoise(rng, 0.0, 8).any()
+        for dtype in (np.float64, np.complex128):
+            assert not simulate._noise(rng, 0.0, (8,), dtype).any()
 
     def test_noise_variance_calibrated(self):
+        """N0/2 per real dimension, for real (PAM) and complex noise."""
         rng = np.random.default_rng(2)
         n0 = 0.37
-        noise = simulate._cnoise(rng, n0, 1_000_000)
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(n0, rel=0.01)
-        assert np.var(noise.real) == pytest.approx(n0 / 2, rel=0.01)
+        for dims, dtype in ((1, np.float64), (2, np.complex128)):
+            noise = simulate._noise(rng, n0, (1000, 1000), dtype)
+            assert noise.shape == (1000, 1000) and noise.dtype == dtype
+            assert np.mean(np.abs(noise) ** 2) == pytest.approx(dims * n0 / 2,
+                                                                rel=0.01)
+            assert np.var(noise.real) == pytest.approx(n0 / 2, rel=0.01)
+        assert np.var(noise.imag) == pytest.approx(n0 / 2, rel=0.01)
+        assert abs(np.mean(noise.real * noise.imag)) < 0.005 * n0
+
+    def test_zero_forced_noise_scales_by_fade(self):
+        fades = np.array([1.0, 0.5, 0.1])
+        plain = simulate._noise(np.random.default_rng(4), 0.2, (3, 5), np.complex128)
+        forced = simulate._noise(np.random.default_rng(4), 0.2, (3, 5),
+                                 np.complex128, fades)
+        assert np.allclose(forced, plain / fades[:, None], rtol=1e-15, atol=0)
 
     def test_fades_have_unit_power_and_hold_for_coherence(self):
         rng = np.random.default_rng(1)
-        gains = simulate._repeat_fades(rng, 200_000, 3, 599_999)
-        assert gains.size == 599_999
+        gains = simulate._fades(rng, ChannelModel("rayleigh", 3), (599_999,))
+        assert gains.size == 599_999 and gains.dtype == np.float64
         assert np.array_equal(gains[0:3], np.full(3, gains[0]))
         assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.01)
+
+    def test_fade_power_is_exponential(self):
+        rng = np.random.default_rng(5)
+        gains = simulate._fades(rng, ChannelModel("rayleigh", 4), (7, 3, 400_002))
+        assert gains.shape == (7, 3, 400_002)
+        held = gains[..., :400_000].reshape(21, -1, 4)
+        assert np.all(held == held[:, :, :1])
+        assert np.all(gains[..., -1] == gains[..., -2])  # a cut last block
+        power = held[:, :, 0].ravel() ** 2
+        assert stats.kstest(power, "expon").pvalue > 0.01
+        assert simulate._fades(rng, AWGN, (5,)) is None
+
+    def test_bits_are_uniform(self):
+        bits = simulate._bits(np.random.default_rng(6), 1_000_003)
+        assert bits.dtype == np.int8 and bits.size == 1_000_003
+        assert set(np.unique(bits)) == {0, 1}
+        assert bits.mean() == pytest.approx(0.5, abs=0.002)
+
+    def test_draws_in_documented_order(self):
+        """A PAM batch is the bits, then the fades, then the noise."""
+        system = PamSystem(4, frame_symbols=64)
+        got = system.simulate_frames(RAYLEIGH, 2.0, 3, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        bits = np.unpackbits(np.frombuffer(rng.bytes(48), np.uint8)).astype(np.int8)
+        amp = np.sqrt(rng.standard_exponential(192))
+        y = rng.standard_normal(192) * math.sqrt(system.noise_density(2.0) / 2)
+        y = y / amp + pam_map(bits, system.constellation)
+        wrong = bits != pam_demap(y, system.constellation)
+        assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
+
+    @pytest.mark.parametrize("system", [
+        PamSystem(8, frame_symbols=512), OfdmSystem(16, 16, 2, frame_symbols=4),
+        FbmcSystem(8, FbmcGrid(16, make_martin(4, 16)), frame_symbols=20),
+    ], ids=["pam", "ofdm", "fbmc"])
+    def test_draws_reproduce_per_seed(self, system):
+        channel = ChannelModel("rayleigh", 2)
+        runs = [system.simulate_frames(channel, 3.0, 5, np.random.default_rng(s))
+                for s in (8, 8, 9)]
+        assert np.array_equal(runs[0], runs[1])
+        assert not np.array_equal(runs[0], runs[2])
 
     # OFDM's zero-forcing round trip is in test_modem.TestOfdmChain.
     @pytest.mark.parametrize("system", [
@@ -123,6 +178,15 @@ class TestAgainstClosedForms:
                       StopRule(500, 50_000_000), seed=36)
         z = z_scores(res, [an.fbmc_awgn_exact(8, martin_top8, an.db_to_linear(8.0))])
         assert abs(z[0]) <= 3.0
+
+    def test_pam8_rayleigh_high_snr(self):
+        # Per-symbol fades: the zero-forced amplitude path down to the
+        # deep-fade tail that sets the BER at high SNR.
+        db = np.array([30.0, 40.0, 50.0])
+        res = run_ber(PamSystem(8), RAYLEIGH, db, StopRule(400, 50_000_000), seed=43)
+        zs = z_scores(res, an.pam_rayleigh_exact(8, an.db_to_linear(db)))
+        assert min(p.errors for p in res.points) >= 400
+        assert np.max(np.abs(zs)) <= 3.0
 
     def test_zf_no_floor_without_interference(self):
         # Interference-free Rayleigh link: BER keeps falling at high SNR.
