@@ -16,12 +16,14 @@ import dataclasses
 import functools
 import json
 import math
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
-from . import analytic, enumeration
+from . import __version__, analytic, enumeration
 from .errors import EnumerationBudgetExceeded, FbmcBerError, GridError
 from .filters import load_taps, make_egf, make_martin, make_rect, save_taps
 from .interference import (
@@ -117,14 +119,28 @@ def _build_filter(args):
     raise ValueError(f"unknown filter {args.filter!r}")
 
 
-def _fbmc_filter(args):
+def _fbmc_filter(args, stages):
     """The prototype filter of an FBMC command, designed once per command."""
-    return _build_filter(args) if args.system == "fbmc" else None
+    if args.system != "fbmc":
+        return None
+    return _timed(stages, "filter_design", _build_filter, args)
+
+
+def _timed(stages: dict, stage: str, fn, *fn_args, **kwargs):
+    """fn(*fn_args, **kwargs), adding its wall time to stages[stage]."""
+    start = time.perf_counter()
+    try:
+        return fn(*fn_args, **kwargs)
+    finally:
+        stages[stage] = stages.get(stage, 0.0) + time.perf_counter() - start
 
 
 def _write_manifest(path, payload: dict):
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    payload["versions"] = {"fbmcber": __version__, "numpy": np.__version__,
+                           "scipy": scipy.__version__,
+                           "python": platform.python_version()}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
@@ -139,9 +155,9 @@ def _out_paths(args, suffix: str):
 # Subcommands
 
 def cmd_filter_info(args, parser) -> int:
-    filt = _build_filter(args)
-    grid = FbmcGrid(args.m, filt)
-    table = build_set(grid)
+    stages = {}
+    filt = _timed(stages, "filter_design", _build_filter, args)
+    table = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
     mags = ordered_magnitudes(table)
     print(f"filter          {filt.label}")
     print(f"taps            {filt.length} (K={filt.overlap}, M={args.m})")
@@ -160,7 +176,7 @@ def cmd_filter_info(args, parser) -> int:
         _write_manifest(args.out + ".manifest.json", {
             "command": "filter-info", "filter": filt.label, "m": args.m,
             "k": filt.overlap, "length": filt.length,
-            "sir_db": sir(table), "set_size": len(table),
+            "sir_db": sir(table), "set_size": len(table), "stage_s": stages,
         })
         print(f"table written to {args.out}.csv")
     elif args.taps_out:
@@ -168,8 +184,9 @@ def cmd_filter_info(args, parser) -> int:
     return 0
 
 
-def _analytic_curve(args, ebn0_db, filt):
-    """The analytic curve, and the offset and support counts of an FBMC one."""
+def _analytic_curve(args, ebn0_db, filt, stages):
+    """The analytic curve, and the offset and support counts of an FBMC one;
+    the table build and the BEP evaluation are timed into stages."""
     gammas = analytic.db_to_linear(ebn0_db)
     what = (args.system, args.channel, args.form)
     filt_label, kmax, n_cp = "", None, None
@@ -181,29 +198,29 @@ def _analytic_curve(args, ebn0_db, filt):
             ("rayleigh", "approx"): analytic.pam_rayleigh_approx,
             ("rayleigh", "exact"): analytic.pam_rayleigh_exact,
         }[(args.channel, args.form)]
-        probs = fn(args.np, gammas)
+        probs = _timed(stages, "bep", fn, args.np, gammas)
     elif args.system == "ofdm":
         if args.form != "exact":
             raise ValueError("OFDM curves implement the exact form only")
         fn = analytic.ofdm_awgn if args.channel == "awgn" else analytic.ofdm_rayleigh
-        probs = fn(args.nq, args.m, args.ncp, gammas)
+        probs = _timed(stages, "bep", fn, args.nq, args.m, args.ncp, gammas)
         n_cp = args.ncp
     elif args.system == "fbmc":
-        grid = FbmcGrid(args.m, filt)
-        table = truncate(build_set(grid), args.kmax)
-        tick = time.time()
+        full = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
+        table = truncate(full, args.kmax)
         fn = {
             ("awgn", "approx"): analytic.fbmc_awgn_approx,
             ("awgn", "exact"): analytic.fbmc_awgn_exact,
             ("rayleigh", "approx"): analytic.fbmc_rayleigh_approx,
             ("rayleigh", "exact"): analytic.fbmc_rayleigh_exact,
         }[(args.channel, args.form)]
-        probs = fn(args.np, table, gammas, budget=args.budget)
+        probs = _timed(stages, "bep", fn, args.np, table, gammas,
+                       budget=args.budget)
         sizes = {"offsets_per_point": args.np ** len(table),
                  "support_points": enumeration.support_size(table.eps, args.np)}
         print(f"# enumerated {sizes['offsets_per_point']} offsets/point as "
               f"{sizes['support_points']} support points over {len(table)} "
-              f"elements in {time.time() - tick:.1f}s total", file=sys.stderr)
+              f"elements in {stages['bep']:.1f}s total", file=sys.stderr)
         filt_label, kmax = filt.label, args.kmax
     else:
         raise ValueError(f"unknown system {args.system!r}")
@@ -214,13 +231,15 @@ def _analytic_curve(args, ebn0_db, filt):
 
 def cmd_bep(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    curve, sizes = _analytic_curve(args, ebn0_db, _fbmc_filter(args))
+    stages = {}
+    curve, sizes = _analytic_curve(args, ebn0_db, _fbmc_filter(args, stages),
+                                   stages)
     csv_path, manifest_path = _out_paths(args, "bep")
     analytic.export_curve_csv(curve, csv_path)
     _write_manifest(manifest_path, {
         "command": "bep", "model": curve.model, "filter": curve.filter_label,
         "kmax": curve.kmax, "n_cp": curve.n_cp, **sizes,
-        "ebn0_db": list(map(float, ebn0_db)),
+        "ebn0_db": list(map(float, ebn0_db)), "stage_s": stages,
     })
     print(f"wrote {csv_path}")
     return 0
@@ -239,7 +258,7 @@ def _build_system(args, filt):
 
 def cmd_simulate(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    system = _build_system(args, _fbmc_filter(args))
+    system = _build_system(args, _fbmc_filter(args, {}))
     channel = ChannelModel(args.channel, args.coherence)
     stop = StopRule(args.min_errors, args.max_bits, args.min_frames,
                     args.target_rel_se)
@@ -256,8 +275,9 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     ebn0_db = _parse_grid(args.ebn0)
-    filt = _fbmc_filter(args)
-    curve, _ = _analytic_curve(args, ebn0_db, filt)
+    stages = {}
+    filt = _fbmc_filter(args, stages)
+    curve, _ = _analytic_curve(args, ebn0_db, filt, stages)
 
     if args.sim_csv:
         result = SimResult.from_csv(args.sim_csv)
@@ -285,7 +305,7 @@ def cmd_compare(args, parser) -> int:
     worst = float(np.max(np.abs(zs)))
     _write_manifest(manifest_path, {
         "command": "compare", "model": curve.model, "seed": result.seed,
-        "config": result.config, "worst_abs_z": worst,
+        "config": result.config, "worst_abs_z": worst, "stage_s": stages,
         "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path} (worst |z| = {worst:.2f})")

@@ -4,10 +4,12 @@ The element eps[m, n] is the real projection of the pulse at subcarrier
 offset m and half-symbol time offset n onto the reference pulse.  With
 the quarter-turn phase map phi[m, n] = (pi/2)(m + n) it reduces to
 
-    eps[m, n] = cos(phi[m, n]) * sum_k p[k - n*M/2] * p[k] * cos(2*pi*m*kbar/M)
+    eps[m, n] = cos(phi[m, n]) * sum_k p[k] * p[k - n*M/2] * cos(pi*m*d_k/M)
 
-with kbar = k - (L_p - 1)/2.  The phase cosine is one of {1, 0, -1} and
-is applied exactly, so elements with odd m + n are exactly zero.
+with the integer d_k = 2k - (L_p - 1).  Each n folds its overlap into 2M
+bins by d_k mod 2M; one product with the table cos(pi*((r*m) mod 2M)/M), an
+exactly mirrored long-double quarter wave, gives every element and epsilon().
+cos(phi) is one of {1, 0, -1}, applied exactly: odd m + n give exact zeros.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
 NULL_THRESHOLD = 1e-15
 
 _COS_QUARTER = (1.0, 0.0, -1.0, 0.0)
-_SIN_QUARTER = (0.0, 1.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,33 @@ def inner_product(a: Pulse, b: Pulse) -> complex:
     )
 
 
+def _cosine_sums(grid: FbmcGrid, span: int) -> np.ndarray:
+    """eps[m, n] / cos(phi) at [n + span, m]; needs span*M/2 < L_p."""
+    taps, m_sub = grid.filter.coeffs, grid.subcarriers
+    lp, bins = taps.size, 2 * m_sub
+    residue = (2 * np.arange(lp) - (lp - 1)) % bins
+    folds = np.empty((2 * span + 1, bins))
+    for row, n in enumerate(range(-span, span + 1)):
+        shift = n * grid.half_symbol
+        lo, hi = max(0, shift), min(lp, lp + shift)
+        overlap = taps[lo:hi] * taps[lo - shift : hi - shift]
+        folds[row] = np.bincount(residue[lo:hi], overlap, minlength=bins)
+    pi = np.arccos(np.longdouble(-1.0))
+    quarter = np.cos(np.arange(m_sub // 2) * pi / m_sub)
+    half = np.concatenate([quarter, [0.0], -quarter[:0:-1]]).astype(np.float64)
+    cycle = np.concatenate([half, -half])
+    return folds @ cycle[np.outer(np.arange(bins), np.arange(m_sub)) % bins]
+
+
 def epsilon(grid: FbmcGrid, m: int, n: int) -> float:
     """Interference element eps[m, n]; (0, 0) gives the pulse energy."""
+    if not 0 <= m < grid.subcarriers:
+        raise ValueError(f"subcarrier index {m} outside [0, {grid.subcarriers})")
     cos_phi = _COS_QUARTER[(m + n) % 4]
-    if cos_phi == 0.0:
+    if cos_phi == 0.0 or abs(n) * grid.half_symbol >= grid.filter.length:
         return 0.0
-    taps = grid.filter.coeffs
-    lp = taps.size
-    shift = n * grid.half_symbol
-    lo = max(0, shift)
-    hi = min(lp, lp + shift)
-    if hi <= lo:
-        return 0.0
-    k = np.arange(lo, hi)
-    kbar = k - (lp - 1) / 2.0
-    overlap = taps[lo:hi] * taps[lo - shift : hi - shift]
-    s = float(np.dot(overlap, np.cos(2.0 * np.pi * m * kbar / grid.subcarriers)))
-    return cos_phi * s
+    span = max(grid.time_span, abs(n))
+    return cos_phi * float(_cosine_sums(grid, span)[n + span, m])
 
 
 @dataclass(frozen=True)
@@ -158,23 +169,14 @@ class InterferenceTable:
 
 
 def build_set(grid: FbmcGrid) -> InterferenceTable:
-    """All interference elements allowed by support and parity."""
+    """All interference elements allowed by support and parity, n outer."""
     span = grid.time_span
-    ms, ns, vals = [], [], []
-    for n in range(-span, span + 1):
-        for m in range(grid.subcarriers):
-            if (m + n) % 2 or (m == 0 and n == 0):
-                continue
-            ms.append(m)
-            ns.append(n)
-            vals.append(epsilon(grid, m, n))
-    return InterferenceTable(
-        np.array(ms, dtype=np.int64),
-        np.array(ns, dtype=np.int64),
-        np.array(vals, dtype=np.float64),
-        epsilon(grid, 0, 0),
-        grid,
-    )
+    sums = _cosine_sums(grid, span)
+    n, m = np.mgrid[-span : span + 1, 0 : grid.subcarriers]
+    keep = ((m + n) % 2 == 0) & ((m != 0) | (n != 0))
+    cos_phi = np.array(_COS_QUARTER)[(m + n) % 4]
+    return InterferenceTable(m[keep], n[keep], (cos_phi * sums)[keep],
+                             float(sums[span, 0]), grid)
 
 
 def set_size(M: int, L_p: int) -> int:
@@ -197,8 +199,8 @@ def set_size(M: int, L_p: int) -> int:
 def truncate(table: InterferenceTable, kmax: int) -> InterferenceTable:
     """Keep the kmax largest-|eps| entries (numerical nulls dropped).
 
-    Ties are broken by (|n| asc, m asc, n asc) so the selection is
-    deterministic across platforms.
+    Bit-equal |eps| go by (|n|, m, n) ascending, mirrors equal only to
+    rounding by their rounded values; the BEP needs only the multiset of |eps|.
     """
     if not 0 <= kmax <= len(table):
         raise ValueError(f"kmax={kmax} outside [0, {len(table)}]")

@@ -1,8 +1,8 @@
 """Monte Carlo BER measurement over AWGN and flat Rayleigh channels.
 
 Noise is calibrated so the real decision statistic sees variance N0/2
-with gamma_b = E_s / (N_b * N0); OFDM additionally pays the cyclic
-prefix SNR penalty through its time-domain noise density.  Rayleigh
+with gamma_b = E_s / (N_b * N0); OFDM pays the cyclic prefix's SNR
+penalty through its noise density and draws no prefix samples.  Rayleigh
 fading uses genie one-tap zero-forcing, h*s + n -> s + n/h.  As n is
 circular, n/h is distributed as n/|h|: the fade phase moves no count,
 so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
@@ -275,12 +275,10 @@ class OfdmSystem:
         x = qam_map(bits, qam).reshape(frames, m, nsym)
         if h is not None:
             x *= h
-        body = np.fft.ifft(x, axis=1, norm="ortho")
-        rx = _noise(rng, self.noise_density(gamma_b),
-                    (frames, m + self.n_cp, nsym), np.complex128)
-        rx[:, self.n_cp :] += body
-        rx[:, : self.n_cp] += body[:, m - self.n_cp :]
-        y = np.fft.fft(rx[:, self.n_cp :, :], axis=1, norm="ortho")
+        rx = _noise(rng, self.noise_density(gamma_b), (frames, m, nsym),
+                    np.complex128)
+        rx += np.fft.ifft(x, axis=1, norm="ortho")
+        y = np.fft.fft(rx, axis=1, norm="ortho")
         if h is not None:
             y /= h
         wrong = bits != qam_demap(y.ravel(), qam)

@@ -353,6 +353,29 @@ class TestCompare:
         assert "0 dB: z = -" in err and err.rstrip().endswith("from implied")
 
 
+class TestRunManifest:
+    @pytest.mark.parametrize("argv,stages", [
+        (["filter-info"], {"filter_design", "build_set"}),
+        (["bep", "--kmax", "3", "--ebn0", "0:4:2"],
+         {"filter_design", "build_set", "bep"}),
+        (["bep", "--system", "pam", "--ebn0", "0:4:2"], {"bep"}),
+        (["compare", "--kmax", "3", "--ebn0", "4", "--min-errors", "50",
+          "--max-bits", "100000"],
+         {"filter_design", "build_set", "bep"}),
+    ])
+    def test_versions_and_stage_times(self, capsys, tmp_path, argv, stages):
+        base = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, *argv, "--out", base)
+        assert code == 0
+        manifest = json.loads(Path(base + ".manifest.json").read_text())
+        versions = manifest["versions"]
+        assert set(versions) == {"fbmcber", "numpy", "scipy", "python"}
+        assert versions["numpy"] == np.__version__
+        assert versions["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert set(manifest["stage_s"]) == stages
+        assert all(t >= 0.0 for t in manifest["stage_s"].values())
+
+
 class TestGridParsing:
     def test_parser_builds(self):
         assert build_parser() is not None

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_filter
-from fbmcber.filters import make_rect
+from fbmcber.filters import make_egf, make_martin, make_rect
 from fbmcber.interference import (
+    NULL_THRESHOLD,
     FbmcGrid,
     build_set,
     epsilon,
@@ -17,6 +18,72 @@ from fbmcber.interference import (
     sir,
     truncate,
 )
+
+
+def _reference_sums(grid, precision):
+    """Direct sums S[n + span, m] = sum_k p[k] p[k - nM/2] cos(pi*j/M) with the
+    exactly reduced index j = (m*(2k - L_p + 1)) mod 2M, each element on its
+    own, in long double or in 40-digit mpmath."""
+    taps, lp = grid.filter.coeffs, grid.filter.length
+    m_sub, span = grid.subcarriers, grid.time_span
+    d = 2 * np.arange(lp) - (lp - 1)
+    rows = []
+    for n in range(-span, span + 1):
+        shift = n * grid.half_symbol
+        k = np.arange(max(0, shift), min(lp, lp + shift))
+        index = np.outer(np.arange(m_sub), d[k]) % (2 * m_sub)
+        if precision == "longdouble":
+            pi = np.arccos(np.longdouble(-1.0))
+            wide = taps.astype(np.longdouble)
+            weights = wide[k] * wide[k - shift]
+            rows.append((np.cos(index * (pi / m_sub)) * weights).sum(axis=1))
+        else:
+            import mpmath
+
+            with mpmath.workdps(40):
+                cos = [mpmath.cos(mpmath.pi * j / m_sub)
+                       for j in range(2 * m_sub)]
+                weights = [mpmath.mpf(taps[i]) * mpmath.mpf(taps[i - shift])
+                           for i in k]
+                rows.append([mpmath.fsum(w * cos[j]
+                                         for w, j in zip(weights, row))
+                             for row in index])
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+_EXTENDED = "longdouble" if np.finfo(np.longdouble).eps < 1e-18 else "mpmath"
+
+_ORACLE_FILTERS = {
+    "martin-m16": (16, lambda: make_martin(4, 16)),
+    "rect-k4-m16": (16, lambda: make_rect(16, 4)),
+    **{f"egf1-m256-L{lp}": (256, lambda lp=lp: make_egf(1.0, 4, 256, lp))
+       for lp in (1023, 1024, 1025)},
+}
+
+
+class TestAgainstExtendedPrecision:
+    """Every element within 5e-16 of a direct extended-precision sum, and
+    the numerical nulls exactly those of the reference."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_FILTERS))
+    def test_every_element(self, name):
+        m_sub, make = _ORACLE_FILTERS[name]
+        self._check(FbmcGrid(m_sub, make()), _EXTENDED)
+
+    @pytest.mark.parametrize("name", ["martin-m16", "rect-k4-m16"])
+    def test_every_element_mpmath(self, name):
+        m_sub, make = _ORACLE_FILTERS[name]
+        self._check(FbmcGrid(m_sub, make()), "mpmath")
+
+    @staticmethod
+    def _check(grid, precision):
+        table = build_set(grid)
+        ref_sums = _reference_sums(grid, precision)
+        sign = np.array([1.0, 0.0, -1.0, 0.0])[(table.m + table.n) % 4]
+        ref = sign * ref_sums[table.n + grid.time_span, table.m]
+        assert np.max(np.abs(table.eps - ref)) <= 5e-16
+        assert abs(table.eps00 - ref_sums[grid.time_span, 0]) <= 5e-16
+        assert np.array_equal(table.null_mask(), np.abs(ref) < NULL_THRESHOLD)
 
 
 class TestSetSize:
@@ -56,11 +123,30 @@ class TestEpsilon:
             assert abs(epsilon(martin_grid, m, span + 1)) < 1e-15
             assert abs(epsilon(martin_grid, m, -(span + 1))) < 1e-15
 
-    def test_oracle_equivalence_full_table(self, martin_grid, martin_table):
-        ref = pulse(martin_grid, 0, 0)
-        for m, n, eps in zip(martin_table.m, martin_table.n, martin_table.eps):
-            direct = inner_product(pulse(martin_grid, int(m), int(n)), ref).real
-            assert abs(direct - eps) < 1e-12
+    def test_oracle_equivalence_full_table(self, martin_grid):
+        # Martin at M=16, then EGF 1.0 at M=64 with every allowed length;
+        # the even length gives half-integer kbar.
+        grids = [martin_grid] + [FbmcGrid(64, make_egf(1.0, 4, 64, length))
+                                 for length in (255, 256, 257)]
+        for grid in grids:
+            table = build_set(grid)
+            ref = pulse(grid, 0, 0)
+            for m, n, eps in zip(table.m, table.n, table.eps):
+                direct = inner_product(pulse(grid, int(m), int(n)), ref).real
+                assert abs(direct - eps) < 1e-12
+
+    @pytest.mark.parametrize("length", [64, 65])
+    def test_scalar_matches_table_bit_for_bit(self, length):
+        grid = FbmcGrid(16, make_egf(1.0, 4, 16, length))
+        table = build_set(grid)
+        for m, n, eps in zip(table.m, table.n, table.eps):
+            assert epsilon(grid, int(m), int(n)) == eps
+        assert epsilon(grid, 0, 0) == table.eps00
+
+    def test_subcarrier_range(self, martin_grid):
+        for m in (-1, 16):
+            with pytest.raises(ValueError):
+                epsilon(martin_grid, m, 0)
 
     def test_adjacent_pulse_real_projection_is_zero(self, martin_grid):
         # m + n odd: the real projection vanishes for symmetric filters.

@@ -9,7 +9,14 @@ from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
 from fbmcber.filters import make_martin
 from fbmcber.interference import FbmcGrid
-from fbmcber.modem import fbmc_analyze_frame, fbmc_signal_length, pam_demap, pam_map
+from fbmcber.modem import (
+    fbmc_analyze_frame,
+    fbmc_signal_length,
+    pam_demap,
+    pam_map,
+    qam_demap,
+    qam_map,
+)
 from fbmcber.simulate import (
     ChannelModel,
     FbmcSystem,
@@ -85,6 +92,22 @@ class TestChannel:
         y = rng.standard_normal(192) * math.sqrt(system.noise_density(2.0) / 2)
         y = y / amp + pam_map(bits, system.constellation)
         wrong = bits != pam_demap(y, system.constellation)
+        assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
+
+    def test_ofdm_draws_noise_for_the_body_only(self):
+        """An OFDM batch draws the bits, then complex noise for the M body
+        samples of each OFDM symbol; the dropped cyclic prefix draws none."""
+        system = OfdmSystem(16, 16, 2, frame_symbols=4)
+        qam, shape = system.constellation, (3, 16, 4)
+        got = system.simulate_frames(AWGN, 2.0, 3, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        bits = np.unpackbits(np.frombuffer(rng.bytes(96), np.uint8)).astype(np.int8)
+        noise = rng.standard_normal(2 * math.prod(shape))
+        noise *= math.sqrt(system.noise_density(2.0) / 2)
+        rx = noise.view(np.complex128).reshape(shape)
+        rx += np.fft.ifft(qam_map(bits, qam).reshape(shape), axis=1, norm="ortho")
+        y = np.fft.fft(rx, axis=1, norm="ortho")
+        wrong = bits != qam_demap(y.ravel(), qam)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
 
     @pytest.mark.parametrize("system", [
