@@ -24,7 +24,7 @@ from .analytic import (
     pam_rayleigh_exact,
     q_function,
 )
-from .constellations import PamConstellation, QamConstellation, SnrPoint
+from .constellations import PamConstellation, QamConstellation
 from .enumeration import offset_support
 from .errors import (
     ConstellationError,

@@ -119,7 +119,7 @@ def _bep(order, eps, gamma_b, kind, form, budget=enumeration.DEFAULT_BUDGET):
     """
     pam = PamConstellation(order)
     gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
-    if np.any(gamma <= 0):
+    if not np.all(gamma > 0):  # NaN fails too
         raise ValueError("gamma_b must be positive")
     weigh = collapsed_cho_weights if form == "exact" else _approx_weights
     thetas, weights = weigh(order)

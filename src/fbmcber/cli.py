@@ -54,54 +54,45 @@ COMPARE_ERROR = 4
 
 def _parse_grid(text: str) -> np.ndarray:
     """SNR grid: 'start:stop:step' (inclusive) or comma-separated values."""
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1.0
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ValueError(f"bad grid {text!r}")
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid {text!r}")
-        # Floor with a small slack: 0:11:3 stops at 9, 0:1:0.1 keeps 1.
-        n = math.floor((stop - start) / step + 1e-9)
-        return start + step * np.arange(n + 1)
-    return np.array([float(x) for x in text.split(",")])
+    ranged = ":" in text
+    values = [float(x) for x in text.split(":" if ranged else ",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"bad grid {text!r}: values must be finite")
+    if not ranged:
+        return np.array(values)
+    if len(values) == 2:
+        values.append(1.0)
+    if len(values) != 3 or values[2] <= 0 or values[1] < values[0]:
+        raise ValueError(f"bad grid {text!r}")
+    start, stop, step = values
+    # Floor with a small slack: 0:11:3 stops at 9, 0:1:0.1 keeps 1.
+    n = math.floor((stop - start) / step + 1e-9)
+    return start + step * np.arange(n + 1)
 
 
-def _load_config_file(path) -> dict:
-    """key=value lines; '#' comments; keys use flag names with dashes or _."""
-    out = {}
-    with open(path) as fh:
+def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """argv with each line of the --config file spliced in as --key=value
+    right after the subcommand, so that argparse checks the values and any
+    flag on the command line, coming later, wins.
+
+    key=value lines; '#' comments; keys use flag names with dashes or _.
+    """
+    tokens = []
+    with open(args.config) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _merge_config(args: argparse.Namespace, argv: list[str]):
-    """Fill flags from --config; flags given on the command line win."""
-    if not getattr(args, "config", None):
-        return
-    overrides = _load_config_file(args.config)
-    actions = {a.dest: a for a in args.parser_ref._actions}
-    explicit = {
-        tok.split("=", 1)[0][2:].replace("-", "_")
-        for tok in argv if tok.startswith("--")
-    }
-    for key, raw in overrides.items():
-        if key not in actions or key in ("help", "fn", "parser_ref", "config"):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in explicit:
-            continue
-        action = actions[key]
-        setattr(args, key, action.type(raw) if action.type else raw)
+            key, value = (part.strip() for part in line.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest not in vars(args) or dest in ("help", "config", "command",
+                                                  "fn"):
+                raise ValueError(f"unknown config key {key!r}")
+            tokens.append(f"--{dest.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _build_filter(args):
@@ -154,7 +145,7 @@ def _out_paths(args, suffix: str):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_filter_info(args, parser) -> int:
+def cmd_filter_info(args) -> int:
     stages = {}
     filt = _timed(stages, "filter_design", _build_filter, args)
     table = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
@@ -169,18 +160,16 @@ def cmd_filter_info(args, parser) -> int:
     print("largest |eps|:")
     for rank, mag in enumerate(mags[: args.decay], start=1):
         print(f"  {rank:3d}  {mag:.6e}")
+    if args.taps_out:
+        save_taps(filt, args.taps_out)
     if args.out:
         export_table_csv(table, args.out + ".csv")
-        if args.taps_out:
-            save_taps(filt, args.taps_out)
         _write_manifest(args.out + ".manifest.json", {
             "command": "filter-info", "filter": filt.label, "m": args.m,
             "k": filt.overlap, "length": filt.length,
             "sir_db": sir(table), "set_size": len(table), "stage_s": stages,
         })
         print(f"table written to {args.out}.csv")
-    elif args.taps_out:
-        save_taps(filt, args.taps_out)
     return 0
 
 
@@ -205,7 +194,7 @@ def _analytic_curve(args, ebn0_db, filt, stages):
         fn = analytic.ofdm_awgn if args.channel == "awgn" else analytic.ofdm_rayleigh
         probs = _timed(stages, "bep", fn, args.nq, args.m, args.ncp, gammas)
         n_cp = args.ncp
-    elif args.system == "fbmc":
+    else:
         full = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
         table = truncate(full, args.kmax)
         fn = {
@@ -222,14 +211,12 @@ def _analytic_curve(args, ebn0_db, filt, stages):
               f"{sizes['support_points']} support points over {len(table)} "
               f"elements in {stages['bep']:.1f}s total", file=sys.stderr)
         filt_label, kmax = filt.label, args.kmax
-    else:
-        raise ValueError(f"unknown system {args.system!r}")
     model = "-".join(what)
     curve = analytic.BepCurve(model, ebn0_db, probs, filt_label, kmax, n_cp)
     return curve, sizes
 
 
-def cmd_bep(args, parser) -> int:
+def cmd_bep(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
     curve, sizes = _analytic_curve(args, ebn0_db, _fbmc_filter(args, stages),
@@ -245,35 +232,39 @@ def cmd_bep(args, parser) -> int:
     return 0
 
 
-def _build_system(args, filt):
+def _simulated(args, ebn0_db, filt, stages) -> SimResult:
+    """run_ber of the system, channel and stop rule of args, timed into
+    stages as 'simulate'."""
     if args.system == "pam":
-        return PamSystem(args.np)
-    if args.system == "ofdm":
-        return OfdmSystem(args.nq, args.m, args.ncp)
-    if args.system == "fbmc":
-        return FbmcSystem(args.np, FbmcGrid(args.m, filt),
-                          frame_symbols=args.frame_symbols)
-    raise ValueError(f"unknown system {args.system!r}")
-
-
-def cmd_simulate(args, parser) -> int:
-    ebn0_db = _parse_grid(args.ebn0)
-    system = _build_system(args, _fbmc_filter(args, {}))
+        system = PamSystem(args.np)
+    elif args.system == "ofdm":
+        system = OfdmSystem(args.nq, args.m, args.ncp)
+    else:
+        system = FbmcSystem(args.np, FbmcGrid(args.m, filt),
+                            frame_symbols=args.frame_symbols)
     channel = ChannelModel(args.channel, args.coherence)
     stop = StopRule(args.min_errors, args.max_bits, args.min_frames,
                     args.target_rel_se)
-    result = run_ber(system, channel, ebn0_db, stop, seed=args.seed)
+    return _timed(stages, "simulate", run_ber, system, channel, ebn0_db, stop,
+                  seed=args.seed)
+
+
+def cmd_simulate(args) -> int:
+    ebn0_db = _parse_grid(args.ebn0)
+    stages = {}
+    result = _simulated(args, ebn0_db, _fbmc_filter(args, stages), stages)
     csv_path, manifest_path = _out_paths(args, "sim")
     result.to_csv(csv_path)
     _write_manifest(manifest_path, {
         "command": "simulate", "seed": result.seed, "config": result.config,
+        "stage_s": stages,
         "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path}")
     return 0
 
 
-def cmd_compare(args, parser) -> int:
+def cmd_compare(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
     filt = _fbmc_filter(args, stages)
@@ -287,11 +278,7 @@ def cmd_compare(args, parser) -> int:
                 f"simulated grid {sim_db.tolist()} != analytic {ebn0_db.tolist()}"
             )
     else:
-        system = _build_system(args, filt)
-        channel = ChannelModel(args.channel, args.coherence)
-        stop = StopRule(args.min_errors, args.max_bits, args.min_frames,
-                        args.target_rel_se)
-        result = run_ber(system, channel, ebn0_db, stop, seed=args.seed)
+        result = _simulated(args, ebn0_db, filt, stages)
 
     zs = z_scores(result, curve.prob)
     csv_path, manifest_path = _out_paths(args, "compare")
@@ -378,42 +365,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter-info",
-                       help="prototype filter report: taps, |E|, SIR, decay")
-    _add_filter_flags(p)
+    def command(name, fn, summary, *add_flags):
+        p = sub.add_parser(name, help=summary)
+        for add in (_add_filter_flags, *add_flags):
+            add(p)
+        p.add_argument("--out", default=None, help="CSV/manifest basename")
+        p.add_argument("--config", default=None, help="key=value config file")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("filter-info", cmd_filter_info,
+                "prototype filter report: taps, |E|, SIR, decay")
     p.add_argument("--decay", type=int, default=20,
                    help="ordered magnitudes to print (default 20)")
-    p.add_argument("--out", default=None, help="CSV/manifest basename")
     p.add_argument("--taps-out", default=None, help="write taps to this file")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.set_defaults(fn=cmd_filter_info, parser_ref=p)
-
-    p = sub.add_parser("bep", help="evaluate an analytic BEP curve")
-    _add_filter_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--out", default=None, help="output basename")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.set_defaults(fn=cmd_bep, parser_ref=p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo BER measurement")
-    _add_filter_flags(p)
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--out", default=None, help="output basename")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.set_defaults(fn=cmd_simulate, parser_ref=p)
-
-    p = sub.add_parser("compare",
-                       help="overlay analytic BEP and simulated BER with z-scores")
-    _add_filter_flags(p)
-    _add_model_flags(p)
-    _add_sim_flags(p)
+    command("bep", cmd_bep, "evaluate an analytic BEP curve", _add_model_flags)
+    command("simulate", cmd_simulate, "Monte Carlo BER measurement",
+            _add_model_flags, _add_sim_flags)
+    p = command("compare", cmd_compare,
+                "overlay analytic BEP and simulated BER with z-scores",
+                _add_model_flags, _add_sim_flags)
     p.add_argument("--sim-csv", default=None,
                    help="reuse an existing simulate CSV instead of rerunning")
-    p.add_argument("--out", default=None, help="output basename")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.set_defaults(fn=cmd_compare, parser_ref=p)
-
     return parser
 
 
@@ -426,8 +399,9 @@ def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
-        return args.fn(args, parser)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args))
+        return args.fn(args)
     except EnumerationBudgetExceeded as exc:
         print(f"error: {exc}; rerun with a smaller --kmax or larger --budget",
               file=sys.stderr)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConstellationError
 
-__all__ = ["PamConstellation", "QamConstellation", "SnrPoint"]
+__all__ = ["PamConstellation", "QamConstellation"]
 
 
 def _is_pow2(n: int) -> bool:
@@ -46,6 +46,12 @@ class PamConstellation:
         idx = np.arange(self.order)
         return idx ^ (idx >> 1)
 
+    def noise_density(self, gamma_b: float) -> float:
+        """N0 such that gamma_b = E_s / (N_b * N0); gamma_b linear."""
+        if not gamma_b > 0:
+            raise ValueError(f"gamma_b must be positive, got {gamma_b}")
+        return self.symbol_energy / (self.bits_per_symbol * gamma_b)
+
 
 @dataclass(frozen=True)
 class QamConstellation:
@@ -71,22 +77,3 @@ class QamConstellation:
     @property
     def symbol_energy(self) -> float:
         return 2.0 * self.pam.symbol_energy
-
-
-@dataclass(frozen=True)
-class SnrPoint:
-    """Normalized SNR (bit energy over noise density), linear scale."""
-
-    gamma_b: float
-
-    def __post_init__(self):
-        if not self.gamma_b > 0:
-            raise ValueError(f"gamma_b must be positive, got {self.gamma_b}")
-
-    @classmethod
-    def from_db(cls, db: float) -> "SnrPoint":
-        return cls(10.0 ** (db / 10.0))
-
-    def noise_density(self, pam: PamConstellation) -> float:
-        """N0 such that gamma_b = E_s / (N_b * N0)."""
-        return pam.symbol_energy / (pam.bits_per_symbol * self.gamma_b)

@@ -10,6 +10,7 @@ with the integer d_k = 2k - (L_p - 1).  Each n folds its overlap into 2M
 bins by d_k mod 2M; one product with the table cos(pi*((r*m) mod 2M)/M), an
 exactly mirrored long-double quarter wave, gives every element and epsilon().
 cos(phi) is one of {1, 0, -1}, applied exactly: odd m + n give exact zeros.
+eps[0, 0], the pulse energy, is the single dot product of the taps.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ class FbmcGrid:
 
     @property
     def time_span(self) -> int:
-        """Largest |n| with a possibly nonzero element, per the set bound."""
+        """Largest |n| of the set, ceil((L_p - 1)/(M/2)) - 1, per the count.
+
+        When M/2 divides L_p - 1, the pulses at |n| = 2(L_p - 1)/M still
+        overlap the reference in one sample, p[0] * p[L_p - 1]; the set
+        leaves those elements out (1/L_p for rect, 5e-8 for EGF alpha=1 at
+        K=4, M=16, zero for Martin).
+        """
         return -(-(self.filter.length - 1) // self.half_symbol) - 1
 
 
@@ -129,6 +136,8 @@ def epsilon(grid: FbmcGrid, m: int, n: int) -> float:
     """Interference element eps[m, n]; (0, 0) gives the pulse energy."""
     if not 0 <= m < grid.subcarriers:
         raise ValueError(f"subcarrier index {m} outside [0, {grid.subcarriers})")
+    if m == n == 0:
+        return grid.filter.energy()
     cos_phi = _COS_QUARTER[(m + n) % 4]
     if cos_phi == 0.0 or abs(n) * grid.half_symbol >= grid.filter.length:
         return 0.0
@@ -138,11 +147,12 @@ def epsilon(grid: FbmcGrid, m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class InterferenceTable:
-    """Nonzero-candidate interference elements of a grid.
+    """Interference elements of a grid, as the set-size formula counts them.
 
     Entries cover 0 <= m < M, |n| <= time span, m + n even, excluding
-    (0, 0).  Entries whose magnitude falls below NULL_THRESHOLD are kept
-    but flagged through null_mask().
+    (0, 0); the one-sample overlaps just past the span are not included
+    (see FbmcGrid.time_span).  Entries whose magnitude falls below
+    NULL_THRESHOLD are kept but flagged through null_mask().
     """
 
     m: np.ndarray
@@ -176,7 +186,7 @@ def build_set(grid: FbmcGrid) -> InterferenceTable:
     keep = ((m + n) % 2 == 0) & ((m != 0) | (n != 0))
     cos_phi = np.array(_COS_QUARTER)[(m + n) % 4]
     return InterferenceTable(m[keep], n[keep], (cos_phi * sums)[keep],
-                             float(sums[span, 0]), grid)
+                             grid.filter.energy(), grid)
 
 
 def set_size(M: int, L_p: int) -> int:

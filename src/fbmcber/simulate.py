@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellations import PamConstellation, QamConstellation, SnrPoint
+from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
     PulseBank,
@@ -222,7 +222,7 @@ class PamSystem:
         return self.frame_symbols * self.constellation.bits_per_symbol
 
     def noise_density(self, gamma_b: float) -> float:
-        return SnrPoint(gamma_b).noise_density(self.constellation)
+        return self.constellation.noise_density(gamma_b)
 
     def describe(self) -> dict:
         return {"system": "pam", "order": self.order,
@@ -322,7 +322,7 @@ class FbmcSystem:
                 * self.constellation.bits_per_symbol)
 
     def noise_density(self, gamma_b: float) -> float:
-        return SnrPoint(gamma_b).noise_density(self.constellation)
+        return self.constellation.noise_density(gamma_b)
 
     def describe(self) -> dict:
         filt = self.grid.filter

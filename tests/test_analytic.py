@@ -188,10 +188,9 @@ class TestPamAgainstChoYoonSum:
         lambda g: an.ofdm_awgn(16, 16, 2, g),
     ], ids=["pam-awgn", "pam-rayleigh", "ofdm"])
     def test_gamma_validation(self, fn):
-        with pytest.raises(ValueError):
-            fn(0.0)
-        with pytest.raises(ValueError):
-            fn(np.array([1.0, -1.0]))
+        for gamma in (0.0, np.nan, np.array([1.0, -1.0]), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError):
+                fn(gamma)
 
 
 class TestOfdm:
@@ -316,5 +315,6 @@ class TestFbmcInvariants:
         assert probs == pytest.approx(0.25, abs=1e-3)
 
     def test_gamma_validation(self, martin_top8):
-        with pytest.raises(ValueError):
-            an.fbmc_awgn_exact(8, martin_top8, 0.0)
+        for gamma in (0.0, np.nan, np.array([2.0, np.nan])):
+            with pytest.raises(ValueError):
+                an.fbmc_awgn_exact(8, martin_top8, gamma)

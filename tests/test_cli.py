@@ -18,6 +18,10 @@ from fbmcber.cli import (
     main,
 )
 
+# The benchmark's span tracer; bench/ is a directory of scripts.
+sys.path.append(str(Path(__file__).parents[1] / "bench"))
+import spans  # noqa: E402
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -199,11 +203,37 @@ class TestSimulate:
 
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("frobnicate = 3\n")
-        code, _, err = run_cli(
-            capsys, "simulate", "--system", "pam", "--config", str(cfg),
-        )
-        assert code == USAGE_ERROR
+        for key in ("frobnicate", "taps-out", "config", "command", "fn", "help"):
+            cfg.write_text(f"{key} = 3\n")
+            code, _, err = run_cli(
+                capsys, "simulate", "--system", "pam", "--config", str(cfg),
+            )
+            assert code == USAGE_ERROR
+            assert f"unknown config key {key!r}" in err
+
+    def test_config_values_checked_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("form = nope\n")
+        for flags in (["--config", str(cfg)], ["--form", "nope"]):
+            with pytest.raises(SystemExit) as info:
+                main(["simulate", "--system", "pam", *flags,
+                      "--out", str(tmp_path / "x")])
+            assert info.value.code == USAGE_ERROR
+            err = capsys.readouterr().err
+            assert "argument --form: invalid choice: 'nope'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_abbreviated_flag_beats_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-bits = 5000\nmin-errors = 10000000\nebn0 = 4\n")
+        base = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, "simulate", "--system", "pam",
+                             "--config", str(cfg), "--max-b", "100000",
+                             "--out", base)
+        assert code == 0
+        manifest = json.loads(Path(base + ".manifest.json").read_text())
+        assert manifest["config"]["max_bits"] == 100000
+        assert manifest["points"][0]["bits"] >= 100000
 
 
 class TestCompare:
@@ -361,7 +391,11 @@ class TestRunManifest:
         (["bep", "--system", "pam", "--ebn0", "0:4:2"], {"bep"}),
         (["compare", "--kmax", "3", "--ebn0", "4", "--min-errors", "50",
           "--max-bits", "100000"],
-         {"filter_design", "build_set", "bep"}),
+         {"filter_design", "build_set", "bep", "simulate"}),
+        (["simulate", "--ebn0", "4", "--min-errors", "50",
+          "--max-bits", "100000"], {"filter_design", "simulate"}),
+        (["simulate", "--system", "ofdm", "--ebn0", "4", "--min-errors", "50",
+          "--max-bits", "100000"], {"simulate"}),
     ])
     def test_versions_and_stage_times(self, capsys, tmp_path, argv, stages):
         base = str(tmp_path / "run")
@@ -376,6 +410,23 @@ class TestRunManifest:
         assert all(t >= 0.0 for t in manifest["stage_s"].values())
 
 
+class TestTrace:
+    def test_compare_records_every_layer(self, capsys, tmp_path):
+        """The benchmark's per-layer metrics read spans of names it patches
+        in the package; an in-process FBMC compare must reach all of them."""
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            code, _, _ = run_cli(capsys, "compare", "--filter", "martin",
+                                 "--kmax", "3", "--ebn0", "6",
+                                 "--min-errors", "50", "--max-bits", "50000",
+                                 "--out", str(tmp_path / "cmp"))
+        assert code == 0
+        assert {s.name for s in tracer.spans} >= {
+            "make_martin", "build_set", "truncate", "fbmc_exact",
+            "reduce_offsets", "run_ber", "fbmc_frames", "synthesize",
+            "analyze", "z_scores"}
+
+
 class TestGridParsing:
     def test_parser_builds(self):
         assert build_parser() is not None
@@ -386,6 +437,17 @@ class TestGridParsing:
             "--ebn0", "10:0:1", "--out", str(tmp_path / "x"),
         )
         assert code == USAGE_ERROR
+
+    @pytest.mark.parametrize("system", ["pam", "fbmc"])
+    @pytest.mark.parametrize("grid", ["nan,inf", "0,inf", "nan:4:1", "0:inf:1"])
+    def test_non_finite_grid(self, capsys, tmp_path, system, grid):
+        code, _, err = run_cli(
+            capsys, "bep", "--system", system, "--kmax", "3",
+            "--ebn0", grid, "--out", str(tmp_path / "x"),
+        )
+        assert code == USAGE_ERROR
+        assert "values must be finite" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text,expected", [
         ("0:11:3", [0.0, 3.0, 6.0, 9.0]),

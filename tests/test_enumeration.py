@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmcber.constellations import PamConstellation, QamConstellation, SnrPoint
+from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber import enumeration
 from fbmcber.enumeration import offset_support, reduce_offsets, support_size
 from fbmcber.errors import ConstellationError, EnumerationBudgetExceeded
@@ -44,14 +44,12 @@ class TestConstellations:
             QamConstellation(order)
 
     def test_snr_point(self):
-        point = SnrPoint.from_db(10.0)
-        assert point.gamma_b == pytest.approx(10.0)
         # N0 = (Np^2 - 1) / (3 Nb gamma)
-        assert point.noise_density(PamConstellation(8)) == pytest.approx(
-            63.0 / (3 * 3 * 10.0)
-        )
-        with pytest.raises(ValueError):
-            SnrPoint(0.0)
+        pam = PamConstellation(8)
+        assert pam.noise_density(10.0) == pytest.approx(63.0 / (3 * 3 * 10.0))
+        for gamma_b in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                pam.noise_density(gamma_b)
 
 
 class TestOffsetStream:

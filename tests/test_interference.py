@@ -75,6 +75,27 @@ class TestAgainstExtendedPrecision:
         m_sub, make = _ORACLE_FILTERS[name]
         self._check(FbmcGrid(m_sub, make()), "mpmath")
 
+    @pytest.mark.parametrize("m_sub,make", [
+        (64, lambda: make_rect(64, 4)),
+        (64, lambda: make_rect(64, 1)),
+        (64, lambda: make_egf(2.0, 4, 64, 255)),
+        (256, lambda: make_egf(1.0, 4, 256)),
+    ], ids=["rect-k4-m64", "rect-k1-m64", "egf2-m64-L255", "egf1-m256"])
+    def test_pulse_energy(self, m_sub, make):
+        grid = FbmcGrid(m_sub, make())
+        taps = grid.filter.coeffs
+        if _EXTENDED == "longdouble":
+            wide = taps.astype(np.longdouble)
+            ref = float((wide * wide).sum())
+        else:
+            import mpmath
+
+            with mpmath.workdps(40):
+                ref = float(mpmath.fsum(mpmath.mpf(t) ** 2 for t in taps))
+        eps00 = build_set(grid).eps00
+        assert abs(eps00 - ref) <= 2.2e-16
+        assert epsilon(grid, 0, 0) == eps00
+
     @staticmethod
     def _check(grid, precision):
         table = build_set(grid)
