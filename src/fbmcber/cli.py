@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 enumeration budget exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -129,9 +130,13 @@ def _timed(stages: dict, stage: str, fn, *fn_args, **kwargs):
 def _write_manifest(path, payload: dict):
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    blas = "unknown"
+    with contextlib.suppress(Exception):
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{info.get('name')} {info.get('version')}"
     payload["versions"] = {"fbmcber": __version__, "numpy": np.__version__,
                            "scipy": scipy.__version__,
-                           "python": platform.python_version()}
+                           "python": platform.python_version(), "blas": blas}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")

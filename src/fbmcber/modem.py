@@ -1,11 +1,12 @@
 """Baseband mapping and multiplexing chains.
 
-Gray PAM/QAM bit mapping, and FBMC synthesis and analysis as real
-matrix products with two phase-folded banks of modulated prototypes:
-real PAM amplitudes in, real decision statistics Re<x|p[m,n]> out.
-The cyclic-prefix OFDM chain is part of `simulate.OfdmSystem`.  Bit
-groups are LSB-first; the Gray codeword of ascending level index i is
-i ^ (i >> 1), identical for PAM and each QAM dimension.
+Gray PAM bit mapping, with square QAM as PAM over the interleaved
+(re, im) parts of its symbols, and FBMC synthesis and analysis of frame
+batches as real matrix products with a `PulseBank`'s two phase-folded
+banks: real PAM amplitudes in, real decision statistics Re<x|p[m,n]>
+out.  The cyclic-prefix OFDM chain is part of `simulate.OfdmSystem`.
+Bit groups are LSB-first; the Gray codeword of ascending level index i
+is i ^ (i >> 1), identical for PAM and each QAM dimension.
 """
 
 from __future__ import annotations
@@ -37,19 +38,14 @@ def _bits_matrix(bits, bits_per_symbol: int) -> np.ndarray:
     return bits.reshape(-1, bits_per_symbol)
 
 
-def _gray_inverse(pam: PamConstellation) -> np.ndarray:
-    inv = np.empty(pam.order, dtype=np.int64)
-    inv[pam.gray_codes] = np.arange(pam.order)
-    return inv
-
-
 def pam_map(bits, pam: PamConstellation) -> np.ndarray:
     """Gray-coded PAM levels from bits (LSB-first groups of N_b)."""
     groups = _bits_matrix(bits, pam.bits_per_symbol)
     codes = groups[:, 0].astype(np.intp)
     for b in range(1, pam.bits_per_symbol):
         codes |= np.left_shift(groups[:, b], b, dtype=np.intp)
-    return np.take(pam.levels[_gray_inverse(pam)], codes)
+    # argsort of the Gray codes is their inverse: level index by codeword
+    return np.take(pam.levels[np.argsort(pam.gray_codes)], codes)
 
 
 def pam_demap(values, pam: PamConstellation) -> np.ndarray:
@@ -63,20 +59,13 @@ def pam_demap(values, pam: PamConstellation) -> np.ndarray:
 
 def qam_map(bits, qam: QamConstellation) -> np.ndarray:
     """Square QAM symbols; first N_b bits map in-phase, next N_b quadrature."""
-    groups = _bits_matrix(bits, qam.bits_per_symbol)
-    half = qam.pam.bits_per_symbol
-    out = np.empty(groups.shape[0], dtype=np.complex128)
-    out.real = pam_map(groups[:, :half].ravel(), qam.pam)
-    out.imag = pam_map(groups[:, half:].ravel(), qam.pam)
-    return out
+    _bits_matrix(bits, qam.bits_per_symbol)
+    return pam_map(bits, qam.pam).view(np.complex128)
 
 
 def qam_demap(values, qam: QamConstellation) -> np.ndarray:
-    values = np.asarray(values).ravel()
-    out = np.empty((values.size, 2, qam.pam.bits_per_symbol), dtype=np.int8)
-    out[:, 0] = pam_demap(values.real, qam.pam).reshape(values.size, -1)
-    out[:, 1] = pam_demap(values.imag, qam.pam).reshape(values.size, -1)
-    return out.ravel()
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    return pam_demap(values.view(np.float64), qam.pam)
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +147,20 @@ def fbmc_signal_length(grid: FbmcGrid, n_symbols: int) -> int:
     return (n_symbols - 1) * grid.half_symbol + grid.filter.length
 
 
-def fbmc_synthesize(symbols, grid: FbmcGrid, bank: PulseBank | None = None):
-    """Superpose all pulses: s = sum_{m,n} a[m,n] p[m,n].
+def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
+    """Superpose all pulses of bank.grid: s[b] = sum_{m,n} a[b,m,n] p[m,n].
 
-    symbols are real, (M, N) for one frame or (B, M, N) for a batch; the
-    returned complex signal is (L,) or (B, L) accordingly.
+    symbols are a real (B, M, N) batch of frames; the result is the
+    complex (B, L) batch of their signals.
     """
     a = np.asarray(symbols)
-    if np.iscomplexobj(a):
-        raise ShapeError("FBMC symbols must be real-valued PAM amplitudes")
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1] != grid.subcarriers:
-        raise ShapeError(
-            f"symbol array must be (M, N) or (B, M, N) with M={grid.subcarriers}, "
-            f"got {np.asarray(symbols).shape}"
-        )
+    grid = bank.grid
+    if np.iscomplexobj(a) or a.ndim != 3 or a.shape[1] != grid.subcarriers:
+        raise ShapeError(f"symbols must be a real (B, M, N) batch with "
+                         f"M={grid.subcarriers}, got {a.dtype} {a.shape}")
     n_symbols = a.shape[2]
     if n_symbols < 1:
         raise RangeError("a frame needs at least one symbol column")
-    bank = bank or PulseBank(grid)
     signs = bank.signs(n_symbols)
     m_sub, lp = grid.subcarriers, grid.filter.length
     signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
@@ -194,26 +176,24 @@ def fbmc_synthesize(symbols, grid: FbmcGrid, bank: PulseBank | None = None):
         for n in range(n_symbols):
             start = n * grid.half_symbol
             signal[sl, start : start + lp] += per_slot[n % 2][:, n // 2]
-    return signal[0] if single else signal
+    return signal
 
 
-def fbmc_analyze_frame(signal, grid: FbmcGrid, n_symbols: int,
-                       bank: PulseBank | None = None) -> np.ndarray:
-    """Real statistics Re<x|p[m,n]> for all slots of a frame (pre-slicing).
+def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
+    """Real statistics Re<x|p[m,n]> for all slots of bank.grid (pre-slicing).
 
-    signal may be (L,) or (B, L); the result is a float (M, N) or
-    (B, M, N) array.
+    signal is a (B, L) batch of frames; the result is the float
+    (B, M, N) batch of their statistics.
     """
     x = np.ascontiguousarray(signal, dtype=np.complex128)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
+    grid = bank.grid
+    if x.ndim != 2:
+        raise ShapeError(f"signal array must be (B, L), got {x.shape}")
     if n_symbols < 1:
         raise RangeError(f"symbol count {n_symbols} is not positive")
     needed = fbmc_signal_length(grid, n_symbols)
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")
-    bank = bank or PulseBank(grid)
     m_sub, lp = grid.subcarriers, grid.filter.length
     signs = bank.signs(n_symbols)
     # column n starts at float offset 2 * n * M/2 = n * M of the (re, im) view
@@ -227,4 +207,4 @@ def fbmc_analyze_frame(signal, grid: FbmcGrid, n_symbols: int,
             stats = _rows_product(rows.reshape(-1, 2 * lp), bank.folded[r].T)
             stats = stats.reshape(rows.shape[0], n_r, m_sub).transpose(0, 2, 1)
             np.multiply(stats, signs[r::2], out=out[sl, :, r::2])
-    return out[0] if single else out
+    return out

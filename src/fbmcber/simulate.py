@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .analytic import _ofdm_args
 from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
@@ -83,6 +84,16 @@ class StopRule:
     max_bits: int = 20_000_000
     min_frames: int = 1
     target_rel_se: float | None = None
+
+    def __post_init__(self):
+        for name in ("min_errors", "min_frames"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.max_bits > 0:
+            raise ValueError(f"max_bits must be > 0, got {self.max_bits}")
+        rel = self.target_rel_se
+        if rel is not None and not (math.isfinite(rel) and rel > 0):
+            raise ValueError(f"target_rel_se must be finite and > 0, got {rel}")
 
 
 @dataclass
@@ -248,6 +259,9 @@ class OfdmSystem:
     n_cp: int
     frame_symbols: int = 32
 
+    def __post_init__(self):
+        _ofdm_args(self.qam_order, self.subcarriers, self.n_cp)  # as in ofdm_awgn
+
     @property
     def constellation(self) -> QamConstellation:
         return QamConstellation(self.qam_order)
@@ -339,10 +353,10 @@ class FbmcSystem:
         bits = _bits(rng, frames * m * nsym * bps)
         h = _fades(rng, channel, (frames,))
         a = pam_map(bits, pam).reshape(frames, m, nsym)
-        s = fbmc_synthesize(a, self.grid, self.bank)
+        s = fbmc_synthesize(a, self.bank)
         x = _noise(rng, self.noise_density(gamma_b), s.shape, np.complex128, h)
         x += s
-        stats = fbmc_analyze_frame(x, self.grid, nsym, self.bank)
+        stats = fbmc_analyze_frame(x, self.bank, nsym)
         lo, hi = self.edge_columns, nsym - self.edge_columns
         data = stats[:, :, lo:hi]
         tx_bits = bits.reshape(frames, m, nsym, bps)[:, :, lo:hi, :]

@@ -24,7 +24,7 @@ from fbmcber.interference import (
     sir,
     truncate,
 )
-from fbmcber.modem import fbmc_analyze_frame, fbmc_synthesize, pam_map
+from fbmcber.modem import PulseBank, fbmc_analyze_frame, fbmc_synthesize, pam_map
 from fbmcber.constellations import PamConstellation
 from fbmcber.simulate import (
     ChannelModel,
@@ -308,7 +308,9 @@ class TestCriterion8PropertySuites:
         pam = PamConstellation(8)
         n_cols = 12
         symbols = pam_map(rng.integers(0, 2, M * n_cols * 3), pam).reshape(M, n_cols)
-        proj = fbmc_analyze_frame(fbmc_synthesize(symbols, grid), grid, n_cols)
+        bank = PulseBank(grid)
+        proj = fbmc_analyze_frame(fbmc_synthesize(symbols[None], bank), bank,
+                                  n_cols)[0]
         worst = 0.0
         for m0, n0 in [(0, 5), (9, 6), (15, 5)]:
             predicted = 0.0

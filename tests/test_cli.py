@@ -235,6 +235,39 @@ class TestSimulate:
         assert manifest["config"]["max_bits"] == 100000
         assert manifest["points"][0]["bits"] >= 100000
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--target-rel-se", "nan"], "target_rel_se must be finite and > 0"),
+        (["--target-rel-se", "inf"], "target_rel_se must be finite and > 0"),
+        (["--target-rel-se", "-1"], "target_rel_se must be finite and > 0"),
+        (["--target-rel-se", "0"], "target_rel_se must be finite and > 0"),
+        (["--max-bits", "0"], "max_bits must be > 0"),
+        (["--max-bits", "-100"], "max_bits must be > 0"),
+        (["--min-errors", "-5"], "min_errors must be >= 0"),
+        (["--min-frames", "-1"], "min_frames must be >= 0"),
+    ], ids=["se-nan", "se-inf", "se-negative", "se-zero", "bits-zero",
+            "bits-negative", "errors-negative", "frames-negative"])
+    def test_impossible_stop_rule(self, capsys, tmp_path, flags, message):
+        code, _, err = run_cli(capsys, "simulate", "--system", "pam",
+                               "--ebn0", "4", *flags,
+                               "--out", str(tmp_path / "x"))
+        assert code == USAGE_ERROR
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--ncp", "-1"], "cyclic prefix length must be >= 0, got -1"),
+        (["--m", "0"], "need at least one subcarrier, got 0"),
+        (["--m", "-4"], "need at least one subcarrier, got -4"),
+    ], ids=["cp-negative", "m-zero", "m-negative"])
+    def test_impossible_ofdm_system(self, capsys, tmp_path, flags, message):
+        for command in ("simulate", "bep"):
+            code, _, err = run_cli(capsys, command, "--system", "ofdm",
+                                   "--ebn0", "4", *flags,
+                                   "--out", str(tmp_path / "x"))
+            assert code == USAGE_ERROR
+            assert message in err
+            assert not (tmp_path / "x.csv").exists()
+
 
 class TestCompare:
     def test_pam_within_three_sigma(self, capsys, tmp_path):
@@ -403,8 +436,10 @@ class TestRunManifest:
         assert code == 0
         manifest = json.loads(Path(base + ".manifest.json").read_text())
         versions = manifest["versions"]
-        assert set(versions) == {"fbmcber", "numpy", "scipy", "python"}
+        assert set(versions) == {"fbmcber", "numpy", "scipy", "python", "blas"}
         assert versions["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"] == f"{blas.get('name')} {blas.get('version')}"
         assert versions["python"] == ".".join(map(str, sys.version_info[:3]))
         assert set(manifest["stage_s"]) == stages
         assert all(t >= 0.0 for t in manifest["stage_s"].values())
@@ -425,6 +460,30 @@ class TestTrace:
             "make_martin", "build_set", "truncate", "fbmc_exact",
             "reduce_offsets", "run_ber", "fbmc_frames", "synthesize",
             "analyze", "z_scores"}
+
+    @pytest.mark.parametrize("system,flags", [
+        ("pam", ["--np", "4"]),
+        ("ofdm", ["--nq", "16", "--m", "16", "--ncp", "2"]),
+    ])
+    def test_pam_and_ofdm_compare_record_their_layers(self, capsys, tmp_path,
+                                                       system, flags):
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            code, _, _ = run_cli(capsys, "compare", "--system", system, *flags,
+                                 "--ebn0", "4,8", "--min-errors", "50",
+                                 "--max-bits", "300000",
+                                 "--out", str(tmp_path / "cmp"))
+        assert code == 0
+        frames = f"{system}_frames"
+        assert {s.name for s in tracer.spans} >= {
+            "closed_form", "run_ber", frames, "map", "demap", "z_scores"}
+        # one map and one demap per batch, called by the batch itself:
+        # QAM as PAM over the interleaved parts nests no traced call
+        batches = [i for i, s in enumerate(tracer.spans) if s.name == frames]
+        for name in ("map", "demap"):
+            chosen = [s for s in tracer.spans if s.name == name]
+            assert len(chosen) == len(batches)
+            assert sorted(s.parent for s in chosen) == batches
 
 
 class TestGridParsing:

@@ -19,6 +19,11 @@ from fbmcber.modem import (
 from fbmcber.simulate import ChannelModel, OfdmSystem
 
 
+@pytest.fixture(scope="module")
+def martin_bank(martin_grid):
+    return PulseBank(martin_grid)
+
+
 class TestGrayMapping:
     def test_bpsk_convention(self):
         pam = PamConstellation(2)
@@ -35,6 +40,35 @@ class TestGrayMapping:
         qam = QamConstellation(64)
         bits = rng.integers(0, 2, 6 * 5000)
         assert np.array_equal(qam_demap(qam_map(bits, qam), qam), bits)
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_qam_is_pam_of_interleaved_parts(self, order):
+        """qam_map and qam_demap give, bit for bit, what separate in-phase
+        and quadrature PAM calls give, also on exact decision ties."""
+        qam = QamConstellation(order)
+        pam, half = qam.pam, qam.pam.bits_per_symbol
+        bits = np.random.default_rng(order).integers(0, 2, 50 * qam.bits_per_symbol)
+        groups = bits.reshape(-1, qam.bits_per_symbol)
+        symbols = np.empty(groups.shape[0], dtype=np.complex128)
+        symbols.real = pam_map(groups[:, :half].ravel(), pam)
+        symbols.imag = pam_map(groups[:, half:].ravel(), pam)
+        got = qam_map(bits, qam)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), symbols.view(np.uint64))
+        # half-integer steps from past the outer levels: every even integer
+        # is a tie between two levels or the clip edge
+        axis = np.arange(-pam.order - 1.5, pam.order + 2.0, 0.5)
+        values = (axis[:, None] + 1j * axis[None, :]).ravel()
+        expected = np.empty((values.size, 2, half), dtype=np.int8)
+        expected[:, 0] = pam_demap(values.real, pam).reshape(values.size, -1)
+        expected[:, 1] = pam_demap(values.imag, pam).reshape(values.size, -1)
+        demapped = qam_demap(values, qam)
+        assert demapped.dtype == np.int8
+        assert np.array_equal(demapped, expected.ravel())
+
+    def test_qam_bit_count_validation(self):
+        with pytest.raises(ShapeError):
+            qam_map(np.zeros(6, dtype=int), QamConstellation(16))
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_adjacent_levels_differ_in_one_bit(self, order):
@@ -57,36 +91,39 @@ class TestGrayMapping:
 
 
 class TestFbmcChain:
-    def test_single_pulse(self, martin_grid):
+    def test_single_pulse(self, martin_grid, martin_bank):
         a = np.zeros((16, 1))
         a[0, 0] = 1.0
-        signal = fbmc_synthesize(a, martin_grid)
+        signal = fbmc_synthesize(a[None], martin_bank)[0]
         assert np.max(np.abs(signal - martin_grid.filter.coeffs)) < 1e-15
-        proj = fbmc_analyze_frame(signal, martin_grid, 1)
+        proj = fbmc_analyze_frame(signal[None], martin_bank, 1)[0]
         assert proj.real[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_linearity(self, martin_grid):
+    def test_linearity(self, martin_bank):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(16, 10))
         b = rng.normal(size=(16, 10))
-        lhs = fbmc_synthesize(a + b, martin_grid)
-        rhs = fbmc_synthesize(a, martin_grid) + fbmc_synthesize(b, martin_grid)
+        lhs = fbmc_synthesize((a + b)[None], martin_bank)[0]
+        rhs = (fbmc_synthesize(a[None], martin_bank)[0]
+               + fbmc_synthesize(b[None], martin_bank)[0])
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_signal_length(self, martin_grid):
+    def test_signal_length(self, martin_grid, martin_bank):
         a = np.zeros((16, 9))
-        assert fbmc_synthesize(a, martin_grid).size == \
+        assert fbmc_synthesize(a[None], martin_bank)[0].size == \
             fbmc_signal_length(martin_grid, 9) == 8 * 8 + 65
 
-    def test_odd_offset_slot_is_orthogonal(self, martin_grid):
+    def test_odd_offset_slot_is_orthogonal(self, martin_bank):
         a = np.zeros((16, 5))
         a[2, 2] = 1.0
-        proj = fbmc_analyze_frame(fbmc_synthesize(a, martin_grid), martin_grid, 5)
+        proj = fbmc_analyze_frame(fbmc_synthesize(a[None], martin_bank),
+                                  martin_bank, 5)[0]
         # (m + n) offset odd relative to the transmitted slot
         assert abs(proj.real[3, 2]) < 1e-12
         assert abs(proj.real[2, 3]) < 1e-12
 
-    def test_reconstruction_matches_interference_table(self, martin_grid):
+    def test_reconstruction_matches_interference_table(self, martin_grid,
+                                                       martin_bank):
         """analyze(synthesize(one-hot)) = (-1)^(dm*n0) eps[dm mod M, dn]."""
         m_sub = 16
         for m1, n1, m0, n0 in [(0, 4, 0, 2), (1, 3, 0, 2), (3, 1, 1, 3),
@@ -94,21 +131,21 @@ class TestFbmcChain:
             n_cols = 8
             a = np.zeros((m_sub, n_cols))
             a[m1, n1] = 1.0
-            signal = fbmc_synthesize(a, martin_grid)
-            got = fbmc_analyze_frame(signal, martin_grid, n_cols).real[m0, n0]
+            signal = fbmc_synthesize(a[None], martin_bank)
+            got = fbmc_analyze_frame(signal, martin_bank, n_cols)[0].real[m0, n0]
             dm, dn = (m1 - m0) % m_sub, n1 - n0
             expected = 1.0 if (dm, dn) == (0, 0) else epsilon(martin_grid, dm, dn)
             expected *= (-1.0) ** ((m1 - m0) * n0)
             assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_full_frame_against_table_prediction(self, martin_grid):
+    def test_full_frame_against_table_prediction(self, martin_grid, martin_bank):
         rng = np.random.default_rng(8)
         pam = PamConstellation(8)
         n_cols = 12
         bits = rng.integers(0, 2, 16 * n_cols * 3)
         a = pam_map(bits, pam).reshape(16, n_cols)
-        signal = fbmc_synthesize(a, martin_grid)
-        proj = fbmc_analyze_frame(signal, martin_grid, n_cols)
+        signal = fbmc_synthesize(a[None], martin_bank)
+        proj = fbmc_analyze_frame(signal, martin_bank, n_cols)[0]
         for m0, n0 in [(0, 5), (7, 6), (15, 4)]:
             predicted = 0.0
             for m in range(16):
@@ -118,36 +155,47 @@ class TestFbmcChain:
                     predicted += a[m, n] * (-1.0) ** ((m - m0) * n0) * gain
             assert proj[m0, n0].real == pytest.approx(predicted, abs=1e-10)
 
-    def test_energy_accounting(self, martin_grid):
+    def test_energy_accounting(self, martin_bank):
         rng = np.random.default_rng(9)
         pam = PamConstellation(8)
         frames, n_cols = 60, 24
         bits = rng.integers(0, 2, frames * 16 * n_cols * 3)
         a = pam_map(bits, pam).reshape(frames, 16, n_cols)
-        signal = fbmc_synthesize(a, martin_grid)
+        signal = fbmc_synthesize(a, martin_bank)
         energy = float(np.sum(np.abs(signal) ** 2))
         slots = frames * 16 * n_cols
         assert energy / slots == pytest.approx(pam.symbol_energy, rel=0.02)
 
-    def test_shape_errors(self, martin_grid):
+    def test_shape_errors(self, martin_bank):
         with pytest.raises(ShapeError):
-            fbmc_synthesize(np.zeros((8, 4)), martin_grid)
+            fbmc_synthesize(np.zeros((1, 8, 4)), martin_bank)
         with pytest.raises(ShapeError):
-            fbmc_synthesize(np.zeros((16, 4), dtype=complex), martin_grid)
+            fbmc_synthesize(np.zeros((1, 16, 4), dtype=complex), martin_bank)
 
-    def test_range_errors(self, martin_grid):
-        signal = fbmc_synthesize(np.zeros((16, 4)), martin_grid)
+    def test_only_batches(self, martin_bank):
+        """A single frame, (M, N) symbols or an (L,) signal, is a ShapeError;
+        so is any other number of dimensions."""
+        signal = fbmc_synthesize(np.zeros((1, 16, 4)), martin_bank)
+        for symbols in (np.zeros((16, 4)), np.zeros(16), np.zeros((1, 1, 16, 4))):
+            with pytest.raises(ShapeError):
+                fbmc_synthesize(symbols, martin_bank)
+        for x in (signal[0], signal[None], np.complex128(0.0)):
+            with pytest.raises(ShapeError):
+                fbmc_analyze_frame(x, martin_bank, 4)
+
+    def test_range_errors(self, martin_bank):
+        signal = fbmc_synthesize(np.zeros((1, 16, 4)), martin_bank)
         with pytest.raises(RangeError):
-            fbmc_analyze_frame(signal, martin_grid, 5)
+            fbmc_analyze_frame(signal, martin_bank, 5)
         with pytest.raises(RangeError):
-            fbmc_analyze_frame(signal[:-1], martin_grid, 4)
+            fbmc_analyze_frame(signal[:, :-1], martin_bank, 4)
         with pytest.raises(RangeError):
-            fbmc_analyze_frame(signal, martin_grid, -1)
+            fbmc_analyze_frame(signal, martin_bank, -1)
         with pytest.raises(RangeError):
-            fbmc_analyze_frame(signal, martin_grid, 0)
-        for empty in (np.zeros((16, 0)), np.zeros((3, 16, 0))):
+            fbmc_analyze_frame(signal, martin_bank, 0)
+        for empty in (np.zeros((1, 16, 0)), np.zeros((3, 16, 0))):
             with pytest.raises(RangeError):
-                fbmc_synthesize(empty, martin_grid)
+                fbmc_synthesize(empty, martin_bank)
 
 
 class TestFbmcOracles:
@@ -157,11 +205,15 @@ class TestFbmcOracles:
     def egf_grid(self, request):
         return FbmcGrid(64, make_egf(1.0, 4, 64, length=request.param))
 
-    def test_synthesis_matches_pulse_superposition(self, egf_grid):
+    @pytest.fixture(scope="class")
+    def egf_bank(self, egf_grid):
+        return PulseBank(egf_grid)
+
+    def test_synthesis_matches_pulse_superposition(self, egf_grid, egf_bank):
         rng = np.random.default_rng(21)
         n_cols = 6
         a = rng.normal(size=(64, n_cols))
-        signal = fbmc_synthesize(a, egf_grid)
+        signal = fbmc_synthesize(a[None], egf_bank)[0]
         expected = np.zeros(signal.size, dtype=complex)
         for m in range(64):
             for n in range(n_cols):
@@ -169,23 +221,23 @@ class TestFbmcOracles:
                 expected[p.start : p.start + p.samples.size] += a[m, n] * p.samples
         assert np.max(np.abs(signal - expected)) < 1e-12
 
-    def test_analysis_is_adjoint_of_synthesis(self, egf_grid):
+    def test_analysis_is_adjoint_of_synthesis(self, egf_grid, egf_bank):
         rng = np.random.default_rng(22)
         n_cols = 7
         a = rng.normal(size=(64, n_cols))
         length = fbmc_signal_length(egf_grid, n_cols)
         x = rng.normal(size=length) + 1j * rng.normal(size=length)
         # synthesis is real-linear, so its adjoint is Re<x|S a>
-        lhs = np.vdot(fbmc_synthesize(a, egf_grid), x).real
-        rhs = np.sum(a * fbmc_analyze_frame(x, egf_grid, n_cols))
+        lhs = np.vdot(fbmc_synthesize(a[None], egf_bank)[0], x).real
+        rhs = np.sum(a * fbmc_analyze_frame(x[None], egf_bank, n_cols)[0])
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
-    def test_analysis_matches_pulse_projections(self, egf_grid):
+    def test_analysis_matches_pulse_projections(self, egf_grid, egf_bank):
         rng = np.random.default_rng(24)
         n_cols = 6
         length = fbmc_signal_length(egf_grid, n_cols)
         x = rng.normal(size=length) + 1j * rng.normal(size=length)
-        stats = fbmc_analyze_frame(x, egf_grid, n_cols)
+        stats = fbmc_analyze_frame(x[None], egf_bank, n_cols)[0]
         assert stats.dtype == np.float64 and stats.shape == (64, n_cols)
         expected = np.empty((64, n_cols))
         for m in range(64):
@@ -195,50 +247,51 @@ class TestFbmcOracles:
                 expected[m, n] = np.vdot(p.samples, window).real
         assert np.max(np.abs(stats - expected)) < 1e-12
 
-    def test_phase_fold(self, egf_grid):
+    def test_phase_fold(self, egf_grid, egf_bank):
         """p[m, n+2] is -p[m, n] one symbol (M samples) later, so the two
         parity banks and the column signs give every pulse."""
-        bank = PulseBank(egf_grid)
         n_cols = 8
-        signs = bank.signs(n_cols)
+        signs = egf_bank.signs(n_cols)
         assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
-        fold = bank.folded.view(np.complex128)
+        fold = egf_bank.folded.view(np.complex128)
         for m in (0, 1, 2, 3, 37, 63):
             for n in range(n_cols):
                 p = pulse(egf_grid, m, n).samples
                 assert np.max(np.abs(pulse(egf_grid, m, n + 2).samples + p)) < 1e-12
                 assert np.max(np.abs(signs[n] * fold[n % 2, m] - p)) < 1e-12
 
-    def test_batch_equals_single_frames(self, martin_grid):
+    def test_batch_equals_single_frames(self, martin_bank):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(3, 16, 9))
-        signal = fbmc_synthesize(a, martin_grid)
-        proj = fbmc_analyze_frame(signal, martin_grid, 9)
+        signal = fbmc_synthesize(a, martin_bank)
+        proj = fbmc_analyze_frame(signal, martin_bank, 9)
         for b in range(3):
-            single = fbmc_synthesize(a[b], martin_grid)
-            assert np.array_equal(signal[b], single)
-            assert np.array_equal(proj[b], fbmc_analyze_frame(single, martin_grid, 9))
+            single = fbmc_synthesize(a[b : b + 1], martin_bank)
+            assert np.array_equal(signal[b : b + 1], single)
+            assert np.array_equal(proj[b : b + 1],
+                                  fbmc_analyze_frame(single, martin_bank, 9))
 
-    def test_empty_batch(self, martin_grid):
-        signal = fbmc_synthesize(np.zeros((0, 16, 9)), martin_grid)
+    def test_empty_batch(self, martin_grid, martin_bank):
+        signal = fbmc_synthesize(np.zeros((0, 16, 9)), martin_bank)
         assert signal.shape == (0, fbmc_signal_length(martin_grid, 9))
-        assert fbmc_analyze_frame(signal, martin_grid, 9).shape == (0, 16, 9)
+        assert fbmc_analyze_frame(signal, martin_bank, 9).shape == (0, 16, 9)
 
-    def test_batch_spanning_two_slices(self, martin_grid):
+    def test_batch_spanning_two_slices(self, martin_bank):
         frames, n_cols = 460, 9
         assert modem.SLICE_COLUMNS < frames * n_cols <= 2 * modem.SLICE_COLUMNS
         # and each slice's products run in several parts of PRODUCT_ROWS rows
         assert frames // 2 * (n_cols // 2) > 2 * modem.PRODUCT_ROWS
         rng = np.random.default_rng(25)
         a = rng.normal(size=(frames, 16, n_cols))
-        signal = fbmc_synthesize(a, martin_grid)
+        signal = fbmc_synthesize(a, martin_bank)
         x = signal + rng.normal(size=signal.shape) + 1j * rng.normal(size=signal.shape)
-        stats = fbmc_analyze_frame(x, martin_grid, n_cols)
+        stats = fbmc_analyze_frame(x, martin_bank, n_cols)
         worst = 0.0
         for b in range(frames):
-            assert np.array_equal(signal[b], fbmc_synthesize(a[b], martin_grid))
-            single = fbmc_analyze_frame(x[b], martin_grid, n_cols)
-            worst = max(worst, np.max(np.abs(stats[b] - single)))
+            assert np.array_equal(signal[b : b + 1],
+                                  fbmc_synthesize(a[b : b + 1], martin_bank))
+            single = fbmc_analyze_frame(x[b : b + 1], martin_bank, n_cols)
+            worst = max(worst, np.max(np.abs(stats[b : b + 1] - single)))
         assert worst < 1e-14
 
 

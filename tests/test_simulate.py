@@ -7,9 +7,11 @@ from scipy import stats
 from fbmcber import analytic as an
 from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
+from fbmcber.errors import ConstellationError
 from fbmcber.filters import make_martin
 from fbmcber.interference import FbmcGrid
 from fbmcber.modem import (
+    PulseBank,
     fbmc_analyze_frame,
     fbmc_signal_length,
     pam_demap,
@@ -135,6 +137,21 @@ class TestChannel:
         with pytest.raises(ValueError):
             ChannelModel("rayleigh", coherence=0)
 
+    def test_stop_rule_limits(self):
+        StopRule(0, 1, 0, None)  # the loosest rule that still stops
+        StopRule(10**15, 1, target_rel_se=1e-9)
+        for bad in ({"min_errors": -1}, {"max_bits": 0}, {"min_frames": -1},
+                    {"target_rel_se": 0.0}, {"target_rel_se": -0.5},
+                    {"target_rel_se": math.nan}, {"target_rel_se": math.inf}):
+            with pytest.raises(ValueError):
+                StopRule(**bad)
+
+    def test_ofdm_system_limits(self):
+        OfdmSystem(16, 1, 0)
+        for subcarriers, n_cp in ((0, 2), (-1, 2), (16, -1)):
+            with pytest.raises(ConstellationError):
+                OfdmSystem(16, subcarriers, n_cp)
+
 
 class TestProjectionCalibration:
     def test_null_frame_statistic_variance(self, martin_grid):
@@ -147,7 +164,7 @@ class TestProjectionCalibration:
             rng.standard_normal((frames, length))
             + 1j * rng.standard_normal((frames, length))
         )
-        stats = fbmc_analyze_frame(noise, martin_grid, n_cols).real
+        stats = fbmc_analyze_frame(noise, PulseBank(martin_grid), n_cols).real
         assert np.var(stats) == pytest.approx(n0 / 2, rel=0.02)
 
 
