@@ -11,6 +11,8 @@ is i ^ (i >> 1), identical for PAM and each QAM dimension.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .constellations import PamConstellation, QamConstellation
@@ -41,20 +43,52 @@ def _bits_matrix(bits, bits_per_symbol: int) -> np.ndarray:
 def pam_map(bits, pam: PamConstellation) -> np.ndarray:
     """Gray-coded PAM levels from bits (LSB-first groups of N_b)."""
     groups = _bits_matrix(bits, pam.bits_per_symbol)
-    codes = groups[:, 0].astype(np.intp)
+    # 0/1 bits as bytes; codewords in the narrowest unsigned type that holds
+    # them (uint8 up to 256-PAM), so no index-sized temporaries
+    if groups.dtype.itemsize == 1:
+        groups = groups.view(np.uint8)
+    else:
+        groups = groups.astype(np.uint8)
+    codes = groups[:, 0].astype(_code_type(pam))
+    shifted = np.empty_like(codes)
     for b in range(1, pam.bits_per_symbol):
-        codes |= np.left_shift(groups[:, b], b, dtype=np.intp)
-    # argsort of the Gray codes is their inverse: level index by codeword
-    return np.take(pam.levels[np.argsort(pam.gray_codes)], codes)
+        np.left_shift(groups[:, b], b, out=shifted, dtype=codes.dtype)
+        codes |= shifted
+    return np.take(_gray_tables(pam)[0], codes)
 
 
 def pam_demap(values, pam: PamConstellation) -> np.ndarray:
-    """Minimum-distance slicing then Gray decode, LSB-first int8 bits."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    idx = np.clip(np.rint((values + pam.order - 1) / 2.0), 0, pam.order - 1)
-    shifts = np.arange(pam.bits_per_symbol)
-    table = ((pam.gray_codes[:, None] >> shifts) & 1).astype(np.int8)
-    return np.take(table, idx.astype(np.intp), axis=0).ravel()
+    """Minimum-distance slicing then Gray decode, LSB-first int8 bits.
+
+    +-inf decide the end levels; NaN raises ValueError.
+    """
+    level = np.add(np.asarray(values, dtype=np.float64).ravel(), pam.order)
+    level -= 1
+    level *= 0.5
+    np.rint(level, out=level)
+    np.clip(level, 0, pam.order - 1, out=level)
+    # max propagates NaN, which no clip or integer cast may turn into a level
+    if level.size and np.isnan(level.max()):
+        raise ValueError("pam_demap: NaN value has no nearest level")
+    return np.take(_gray_tables(pam)[1], level.astype(_code_type(pam)),
+                   axis=0).ravel()
+
+
+def _code_type(pam: PamConstellation) -> np.dtype:
+    """Narrowest unsigned integer type of a level index or codeword."""
+    return np.min_scalar_type(pam.order - 1)
+
+
+@functools.cache
+def _gray_tables(pam: PamConstellation) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only lookup tables of pam: the level of each codeword (argsort
+    of the Gray codes is their inverse), and the LSB-first int8 bits of
+    each level."""
+    codes = pam.gray_codes
+    level_of_code = pam.levels[np.argsort(codes)]
+    bit_table = ((codes[:, None] >> np.arange(pam.bits_per_symbol)) & 1).astype(np.int8)
+    level_of_code.flags.writeable = bit_table.flags.writeable = False
+    return level_of_code, bit_table
 
 
 def qam_map(bits, qam: QamConstellation) -> np.ndarray:
@@ -125,10 +159,11 @@ class PulseBank:
         return np.where(np.arange(n_symbols) // 2 % 2, -1.0, 1.0)
 
 
-def _frame_slices(frames: int, n_symbols: int):
-    """Equal slices of whole frames, each of at most SLICE_COLUMNS columns
-    (a 130-frame M=16 batch ran faster as 65 + 65 frames than as 85 + 45)."""
-    most = max(1, SLICE_COLUMNS // max(n_symbols, 1))
+def _frame_slices(frames: int, per_frame: int, budget: int):
+    """Equal slices of whole frames, each of at most budget // per_frame
+    frames and at least one (a 130-frame M=16 batch ran faster as 65 + 65
+    frames than as 85 + 45)."""
+    most = max(1, budget // max(per_frame, 1))
     step = max(1, -(-frames // max(1, -(-frames // most))))
     return [slice(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
 
@@ -165,7 +200,7 @@ def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
     m_sub, lp = grid.subcarriers, grid.filter.length
     signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
                       dtype=np.complex128)
-    for sl in _frame_slices(a.shape[0], n_symbols):
+    for sl in _frame_slices(a.shape[0], n_symbols, SLICE_COLUMNS):
         per_slot = []
         for r in (0, 1):
             cols = a[sl, :, r::2].transpose(0, 2, 1)
@@ -200,7 +235,7 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(
         x.view(np.float64), 2 * lp, axis=1)
     out = np.empty((x.shape[0], m_sub, n_symbols))
-    for sl in _frame_slices(x.shape[0], n_symbols):
+    for sl in _frame_slices(x.shape[0], n_symbols, SLICE_COLUMNS):
         for r in (0, 1):
             n_r = (n_symbols - r + 1) // 2
             rows = np.ascontiguousarray(windows[sl, r * m_sub :: 2 * m_sub][:, :n_r])

@@ -7,10 +7,14 @@ fading uses genie one-tap zero-forcing, h*s + n -> s + n/h.  As n is
 circular, n/h is distributed as n/|h|: the fade phase moves no count,
 so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
 per subcarrier and OFDM symbol (OFDM) or per frame (FBMC), each held
-for `coherence` such units.  A batch draws, in this order, the bits,
-the fades (Rayleigh only) and one interleaved standard_normal noise
-array (complex for OFDM and FBMC).  The generator of batch b of SNR
-point i is seeded with (master_seed, i, b), so a given seed and
+for `coherence` such units.  A batch draws, in this order, the bits and
+the fades (Rayleigh only) of all its frames.  It then runs in blocks of
+whole frames, small enough to stay near the cache: each block draws its
+noise as one interleaved standard_normal array (complex for OFDM and
+FBMC), then maps, passes the channel, demaps and counts.  Consecutive
+standard_normal calls continue one stream, so the blocks' noise is, value
+for value, one noise draw of the whole batch.  The generator of batch b
+of SNR point i is seeded with (master_seed, i, b), so a given seed and
 configuration reproduce results bit for bit.
 """
 
@@ -27,7 +31,9 @@ from .analytic import _ofdm_args
 from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
+    PRODUCT_ROWS,
     PulseBank,
+    _frame_slices,
     fbmc_analyze_frame,
     fbmc_synthesize,
     pam_demap,
@@ -196,7 +202,10 @@ def _fades(rng, channel: ChannelModel, shape) -> np.ndarray | None:
         return None
     *lead, units = shape
     draws = -(-units // channel.coherence)
-    amp = np.sqrt(rng.standard_exponential((*lead, draws)))
+    amp = rng.standard_exponential((*lead, draws))
+    np.sqrt(amp, out=amp)
+    if channel.coherence == 1:
+        return amp
     return np.repeat(amp, channel.coherence, axis=-1)[..., :units]
 
 
@@ -204,18 +213,44 @@ def _noise(rng, n0: float, shape, dtype=np.float64, fades=None) -> np.ndarray:
     """Gaussian noise of variance n0/2 per real dimension, one interleaved
     standard_normal draw viewed as dtype (complex noise is circular).
 
-    fades, one amplitude per index of the first axis, gives the
-    zero-forced noise n/|h|.
+    fades, one amplitude per index of the leading fades.ndim axes of
+    shape, gives the zero-forced noise n/|h|.
     """
     dims = np.dtype(dtype).itemsize // 8
-    z = rng.standard_normal(dims * math.prod(shape)).reshape(shape[0], -1)
+    z = rng.standard_normal(dims * math.prod(shape))
     sigma = math.sqrt(n0 / 2.0)
-    z *= sigma if fades is None else (sigma / fades)[:, None]
+    if fades is None:
+        z *= sigma
+    else:
+        z = z.reshape(*fades.shape, -1)
+        z *= (sigma / fades)[..., None]
     return z.view(dtype).reshape(shape)
+
+
+def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """Bit errors per frame; sent is a (frames, ...) block of bits and
+    decided holds the decisions on them in the same order."""
+    frames = sent.shape[0]
+    wrong = sent.reshape(frames, -1) != decided.reshape(frames, -1)
+    return np.count_nonzero(wrong, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Systems
+#
+# simulate_frames draws a batch's bits and fades whole, then runs blocks of
+# whole frames: each draws its own noise, maps, passes the channel (and the
+# FBMC modem), demaps and counts.
+
+# Noise reals per PAM or OFDM block (256 KB): 2**14 and 2**17 were slower.
+_BLOCK_REALS = 2**15
+# Rows per parity of an FBMC block: four modem product parts.  Blocks of one
+# part (10 frames at M=16, N=48) ran about 30% slower, as the modem's
+# per-call work, such as its N column overlap-adds, does not shrink with the
+# block.  A batch of up to four parts (16 frames at M=256) stays one block,
+# parted as a whole.
+_FBMC_BLOCK_ROWS = 4 * PRODUCT_ROWS
+
 
 @dataclass(frozen=True)
 class PamSystem:
@@ -241,13 +276,17 @@ class PamSystem:
 
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         pam = self.constellation
-        n = frames * self.frame_symbols
-        bits = _bits(rng, n * pam.bits_per_symbol)
-        h = _fades(rng, channel, (n,))
-        y = _noise(rng, self.noise_density(gamma_b), (n,), fades=h)
-        y += pam_map(bits, pam)
-        wrong = bits != pam_demap(y, pam)
-        return wrong.reshape(frames, self.frame_bits).sum(axis=1)
+        n, n0 = self.frame_symbols, self.noise_density(gamma_b)
+        bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
+        h = _fades(rng, channel, (frames * n,))
+        h = None if h is None else h.reshape(frames, n)
+        errors = np.empty(frames, dtype=np.intp)
+        for sl in _frame_slices(frames, n, _BLOCK_REALS):
+            sent = bits[sl]
+            y = _noise(rng, n0, (len(sent), n), fades=None if h is None else h[sl])
+            y += pam_map(sent, pam).reshape(y.shape)
+            errors[sl] = _frame_errors(sent, pam_demap(y, pam))
+        return errors
 
 
 @dataclass(frozen=True)
@@ -284,19 +323,23 @@ class OfdmSystem:
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         qam = self.constellation
         m, nsym = self.subcarriers, self.frame_symbols
-        bits = _bits(rng, frames * self.frame_bits)
+        n0 = self.noise_density(gamma_b)
+        bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames, m, nsym))
-        x = qam_map(bits, qam).reshape(frames, m, nsym)
-        if h is not None:
-            x *= h
-        rx = _noise(rng, self.noise_density(gamma_b), (frames, m, nsym),
-                    np.complex128)
-        rx += np.fft.ifft(x, axis=1, norm="ortho")
-        y = np.fft.fft(rx, axis=1, norm="ortho")
-        if h is not None:
-            y /= h
-        wrong = bits != qam_demap(y.ravel(), qam)
-        return wrong.reshape(frames, self.frame_bits).sum(axis=1)
+        errors = np.empty(frames, dtype=np.intp)
+        for sl in _frame_slices(frames, 2 * m * nsym, _BLOCK_REALS):
+            sent = bits[sl]
+            shape = (len(sent), m, nsym)
+            x = qam_map(sent, qam).reshape(shape)
+            if h is not None:
+                x *= h[sl]
+            rx = _noise(rng, n0, shape, np.complex128)
+            rx += np.fft.ifft(x, axis=1, norm="ortho")
+            y = np.fft.fft(rx, axis=1, norm="ortho")
+            if h is not None:
+                y /= h[sl]
+            errors[sl] = _frame_errors(sent, qam_demap(y, qam))
+        return errors
 
 
 @dataclass(frozen=True)
@@ -349,19 +392,22 @@ class FbmcSystem:
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         pam = self.constellation
         m, nsym = self.grid.subcarriers, self.frame_symbols
-        bps = pam.bits_per_symbol
-        bits = _bits(rng, frames * m * nsym * bps)
+        n0 = self.noise_density(gamma_b)
+        bits = _bits(rng, frames * m * nsym * pam.bits_per_symbol)
+        bits = bits.reshape(frames, m, nsym, -1)
         h = _fades(rng, channel, (frames,))
-        a = pam_map(bits, pam).reshape(frames, m, nsym)
-        s = fbmc_synthesize(a, self.bank)
-        x = _noise(rng, self.noise_density(gamma_b), s.shape, np.complex128, h)
-        x += s
-        stats = fbmc_analyze_frame(x, self.bank, nsym)
         lo, hi = self.edge_columns, nsym - self.edge_columns
-        data = stats[:, :, lo:hi]
-        tx_bits = bits.reshape(frames, m, nsym, bps)[:, :, lo:hi, :]
-        wrong = tx_bits.ravel() != pam_demap(data.ravel(), pam)
-        return wrong.reshape(frames, self.frame_bits).sum(axis=1)
+        errors = np.empty(frames, dtype=np.intp)
+        for sl in _frame_slices(frames, (nsym + 1) // 2, _FBMC_BLOCK_ROWS):
+            a = pam_map(bits[sl], pam).reshape(-1, m, nsym)
+            s = fbmc_synthesize(a, self.bank)
+            x = _noise(rng, n0, s.shape, np.complex128,
+                       None if h is None else h[sl])
+            x += s
+            stats = fbmc_analyze_frame(x, self.bank, nsym)
+            decided = pam_demap(stats[:, :, lo:hi].ravel(), pam)
+            errors[sl] = _frame_errors(bits[sl, :, lo:hi], decided)
+        return errors
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,20 @@ def random_symmetric_filter(rng, m, k=3):
     from fbmcber.filters import PrototypeFilter
 
     return PrototypeFilter(taps, k, "custom")
+
+
+def frame_blocks(system, frames):
+    """The blocks of whole frames that system.simulate_frames runs a batch
+    of `frames` in: at most simulate._FBMC_BLOCK_ROWS product rows per
+    parity for FBMC, at most simulate._BLOCK_REALS noise reals for PAM and
+    OFDM."""
+    from fbmcber import simulate
+    from fbmcber.modem import _frame_slices
+
+    if isinstance(system, simulate.FbmcSystem):
+        return _frame_slices(frames, (system.frame_symbols + 1) // 2,
+                             simulate._FBMC_BLOCK_ROWS)
+    reals = system.frame_symbols
+    if isinstance(system, simulate.OfdmSystem):
+        reals *= 2 * system.subcarriers
+    return _frame_slices(frames, reals, simulate._BLOCK_REALS)

@@ -89,6 +89,39 @@ class TestGrayMapping:
                             pam_demap(np.array([3.0]), pam)]),
         )
 
+    @pytest.mark.parametrize("order", [2, 8, 256, 1024])
+    def test_kernels_match_index_reference(self, order):
+        """pam_map and pam_demap equal, bit for bit, a reference that
+        builds codewords and level indices as intp, on any bit dtype and
+        on exact ties, clipped outliers and infinities."""
+        pam = PamConstellation(order)
+        nb = pam.bits_per_symbol
+        rng = np.random.default_rng(order)
+        bits = rng.integers(0, 2, 3000 * nb)
+        codes = (bits.reshape(-1, nb) << np.arange(nb)).sum(axis=1)
+        levels = pam.levels[np.argsort(pam.gray_codes)][codes]
+        for given in (bits, bits.astype(np.int8), bits.astype(bool)):
+            assert np.array_equal(pam_map(given, pam), levels)
+        values = np.concatenate([
+            np.arange(-order - 1.5, order + 2.0, 0.5),
+            rng.uniform(-order - 2, order + 2, 3000), [-np.inf, np.inf]])
+        idx = np.clip(np.rint((values + order - 1) / 2.0), 0, order - 1)
+        table = (pam.gray_codes[:, None] >> np.arange(nb)) & 1
+        expected = table[idx.astype(np.intp)].ravel()
+        got = pam_demap(values, pam)
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+    def test_demap_non_finite(self):
+        pam, qam = PamConstellation(8), QamConstellation(16)
+        assert np.array_equal(pam_demap([-np.inf, np.inf], pam),
+                              pam_demap(pam.levels[[0, -1]], pam))
+        for bad in ([0.0, np.nan], [np.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                pam_demap(bad, pam)
+        with pytest.raises(ValueError, match="NaN"):
+            qam_demap(np.array([1.0 + 1j, complex(1.0, np.nan)]), qam)
+        assert pam_demap(np.array([]), pam).size == 0
+
 
 class TestFbmcChain:
     def test_single_pulse(self, martin_grid, martin_bank):

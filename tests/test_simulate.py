@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import frame_blocks
 from fbmcber import analytic as an
 from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
 from fbmcber.errors import ConstellationError
-from fbmcber.filters import make_martin
+from fbmcber.filters import make_egf, make_martin
 from fbmcber.interference import FbmcGrid
 from fbmcber.modem import (
     PulseBank,
     fbmc_analyze_frame,
     fbmc_signal_length,
+    fbmc_synthesize,
     pam_demap,
     pam_map,
     qam_demap,
@@ -32,6 +34,60 @@ from fbmcber.simulate import (
 
 AWGN = ChannelModel("awgn")
 RAYLEIGH = ChannelModel("rayleigh")
+
+
+def _whole_batch(system, channel, gamma_b, frames, rng):
+    """Per-frame bit errors of a batch drawn whole, in the documented
+    order: the bits, the fades (held for the coherence), then one
+    standard_normal draw for all the noise."""
+    if isinstance(system, FbmcSystem):
+        m, nsym, lo = system.grid.subcarriers, system.frame_symbols, system.edge_columns
+        n_bits = frames * m * nsym * system.constellation.bits_per_symbol
+        fade_shape = (frames,)
+        noise_shape = (frames, fbmc_signal_length(system.grid, nsym))
+    elif isinstance(system, OfdmSystem):
+        n_bits = frames * system.frame_bits
+        fade_shape = noise_shape = (frames, system.subcarriers, system.frame_symbols)
+    else:
+        n_bits = frames * system.frame_bits
+        fade_shape = noise_shape = (frames * system.frame_symbols,)
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8),
+                         count=n_bits).view(np.int8)
+    amp = None
+    if channel.kind == "rayleigh":
+        *lead, units = fade_shape
+        amp = np.sqrt(rng.standard_exponential((*lead, -(-units // channel.coherence))))
+        amp = np.repeat(amp, channel.coherence, axis=-1)[..., :units]
+    dims = 1 if isinstance(system, PamSystem) else 2
+    z = rng.standard_normal(dims * math.prod(noise_shape))
+    sigma = math.sqrt(system.noise_density(gamma_b) / 2)
+    sent = bits
+    if isinstance(system, PamSystem):
+        z *= sigma if amp is None else sigma / amp
+        decided = pam_demap(z + pam_map(bits, system.constellation),
+                            system.constellation)
+    elif isinstance(system, OfdmSystem):
+        qam = system.constellation
+        x = qam_map(bits, qam).reshape(noise_shape)
+        if amp is not None:
+            x *= amp
+        z *= sigma
+        rx = z.view(np.complex128).reshape(noise_shape)
+        rx += np.fft.ifft(x, axis=1, norm="ortho")
+        y = np.fft.fft(rx, axis=1, norm="ortho")
+        if amp is not None:
+            y /= amp
+        decided = qam_demap(y.ravel(), qam)
+    else:
+        pam = system.constellation
+        z = z.reshape(frames, -1)
+        z *= sigma if amp is None else (sigma / amp)[:, None]
+        s = fbmc_synthesize(pam_map(bits, pam).reshape(frames, m, nsym), system.bank)
+        stats_ = fbmc_analyze_frame(z.view(np.complex128) + s, system.bank, nsym)
+        decided = pam_demap(stats_[:, :, lo:nsym - lo].ravel(), pam)
+        sent = bits.reshape(frames, m, nsym, -1)[:, :, lo:nsym - lo]
+    wrong = sent.reshape(frames, -1) != decided.reshape(frames, -1)
+    return np.count_nonzero(wrong, axis=1)
 
 
 class TestChannel:
@@ -54,11 +110,16 @@ class TestChannel:
         assert abs(np.mean(noise.real * noise.imag)) < 0.005 * n0
 
     def test_zero_forced_noise_scales_by_fade(self):
-        fades = np.array([1.0, 0.5, 0.1])
-        plain = simulate._noise(np.random.default_rng(4), 0.2, (3, 5), np.complex128)
-        forced = simulate._noise(np.random.default_rng(4), 0.2, (3, 5),
-                                 np.complex128, fades)
-        assert np.allclose(forced, plain / fades[:, None], rtol=1e-15, atol=0)
+        """One amplitude per index of the leading fades.ndim axes."""
+        for shape, fades in (((3, 5), np.array([1.0, 0.5, 0.1])),
+                             ((2, 3, 5), np.array([[1.0, 0.5, 0.1],
+                                                   [2.0, 0.3, 1e-3]]))):
+            plain = simulate._noise(np.random.default_rng(4), 0.2, shape,
+                                    np.complex128)
+            forced = simulate._noise(np.random.default_rng(4), 0.2, shape,
+                                     np.complex128, fades)
+            assert np.allclose(forced, plain / fades[..., None], rtol=1e-15,
+                               atol=0)
 
     def test_fades_have_unit_power_and_hold_for_coherence(self):
         rng = np.random.default_rng(1)
@@ -77,6 +138,10 @@ class TestChannel:
         power = held[:, :, 0].ravel() ** 2
         assert stats.kstest(power, "expon").pvalue > 0.01
         assert simulate._fades(rng, AWGN, (5,)) is None
+        # coherence 1: one amplitude per unit, straight from the draw
+        amp = simulate._fades(np.random.default_rng(9), RAYLEIGH, (4, 5))
+        expected = np.sqrt(np.random.default_rng(9).standard_exponential((4, 5)))
+        assert np.array_equal(amp, expected)
 
     def test_bits_are_uniform(self):
         bits = simulate._bits(np.random.default_rng(6), 1_000_003)
@@ -111,6 +176,31 @@ class TestChannel:
         y = np.fft.fft(rx, axis=1, norm="ortho")
         wrong = bits != qam_demap(y.ravel(), qam)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
+
+    @pytest.mark.parametrize("system,frames,channel", [
+        (PamSystem(4, frame_symbols=5000), 19, AWGN),
+        (PamSystem(4, frame_symbols=5000), 19, ChannelModel("rayleigh", 7)),
+        (OfdmSystem(16, 16, 2, frame_symbols=4), 601, AWGN),
+        (OfdmSystem(16, 16, 2, frame_symbols=4), 601, ChannelModel("rayleigh", 3)),
+        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 89, AWGN),
+        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 89,
+         ChannelModel("rayleigh", 7)),
+        (FbmcSystem(8, FbmcGrid(256, make_egf(1.0, 4, 256))), 89,
+         ChannelModel("rayleigh", 7)),
+    ], ids=["pam-awgn", "pam-rayleigh", "ofdm-awgn", "ofdm-rayleigh",
+            "fbmc-martin16-awgn", "fbmc-martin16-rayleigh",
+            "fbmc-egf1-256-rayleigh"])
+    def test_blocks_continue_one_draw(self, system, frames, channel):
+        """A batch of three or more blocks, the last one short, counts what
+        one whole-batch draw of the bits, the fades and the noise gives;
+        PAM and FBMC fades are held across block boundaries."""
+        blocks = frame_blocks(system, frames)
+        assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < (
+            blocks[0].stop - blocks[0].start)
+        got = system.simulate_frames(channel, 2.0, frames, np.random.default_rng(11))
+        expected = _whole_batch(system, channel, 2.0, frames,
+                                np.random.default_rng(11))
+        assert got.sum() > 0 and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("system", [
         PamSystem(8, frame_symbols=512), OfdmSystem(16, 16, 2, frame_symbols=4),
