@@ -51,7 +51,6 @@ from .interference import (
     FbmcGrid,
     InterferenceTable,
     build_set,
-    epsilon,
     export_table_csv,
     ordered_magnitudes,
     pulse,

@@ -8,7 +8,7 @@ the quarter-turn phase map phi[m, n] = (pi/2)(m + n) it reduces to
 
 with the integer d_k = 2k - (L_p - 1).  Each n folds its overlap into 2M
 bins by d_k mod 2M; one product with the table cos(pi*((r*m) mod 2M)/M), an
-exactly mirrored long-double quarter wave, gives every element and epsilon().
+exactly mirrored long-double quarter wave, gives every element of the set.
 cos(phi) is one of {1, 0, -1}, applied exactly: odd m + n give exact zeros.
 eps[0, 0], the pulse energy, is the single dot product of the taps.
 """
@@ -29,7 +29,6 @@ __all__ = [
     "InterferenceTable",
     "pulse",
     "inner_product",
-    "epsilon",
     "build_set",
     "set_size",
     "truncate",
@@ -114,9 +113,10 @@ def inner_product(a: Pulse, b: Pulse) -> complex:
     )
 
 
-def _cosine_sums(grid: FbmcGrid, span: int) -> np.ndarray:
-    """eps[m, n] / cos(phi) at [n + span, m]; needs span*M/2 < L_p."""
+def _cosine_sums(grid: FbmcGrid) -> np.ndarray:
+    """eps[m, n] / cos(phi) at [n + span, m] for |n| <= span = grid.time_span."""
     taps, m_sub = grid.filter.coeffs, grid.subcarriers
+    span = grid.time_span
     lp, bins = taps.size, 2 * m_sub
     residue = (2 * np.arange(lp) - (lp - 1)) % bins
     folds = np.empty((2 * span + 1, bins))
@@ -130,19 +130,6 @@ def _cosine_sums(grid: FbmcGrid, span: int) -> np.ndarray:
     half = np.concatenate([quarter, [0.0], -quarter[:0:-1]]).astype(np.float64)
     cycle = np.concatenate([half, -half])
     return folds @ cycle[np.outer(np.arange(bins), np.arange(m_sub)) % bins]
-
-
-def epsilon(grid: FbmcGrid, m: int, n: int) -> float:
-    """Interference element eps[m, n]; (0, 0) gives the pulse energy."""
-    if not 0 <= m < grid.subcarriers:
-        raise ValueError(f"subcarrier index {m} outside [0, {grid.subcarriers})")
-    if m == n == 0:
-        return grid.filter.energy()
-    cos_phi = _COS_QUARTER[(m + n) % 4]
-    if cos_phi == 0.0 or abs(n) * grid.half_symbol >= grid.filter.length:
-        return 0.0
-    span = max(grid.time_span, abs(n))
-    return cos_phi * float(_cosine_sums(grid, span)[n + span, m])
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,7 @@ class InterferenceTable:
 def build_set(grid: FbmcGrid) -> InterferenceTable:
     """All interference elements allowed by support and parity, n outer."""
     span = grid.time_span
-    sums = _cosine_sums(grid, span)
+    sums = _cosine_sums(grid)
     n, m = np.mgrid[-span : span + 1, 0 : grid.subcarriers]
     keep = ((m + n) % 2 == 0) & ((m != 0) | (n != 0))
     cos_phi = np.array(_COS_QUARTER)[(m + n) % 4]

@@ -109,17 +109,16 @@ def qam_demap(values, qam: QamConstellation) -> np.ndarray:
 # -chi[m, n], so chi[m, n] = (-1)**(n // 2) * chi[m, n % 2] and two
 # chi-folded banks, one per column parity, carry every pulse.  With real
 # amplitudes and real decisions each product is a real matrix product
-# with the banks seen as interleaved (re, im) float rows.
+# with the banks seen as interleaved (re, im) float rows.  Each call runs
+# the whole batch it is given; the simulator keeps its batches near the
+# cache by passing them in blocks.
 
-# Symbol columns (frames x N) per slice of a batch: keeps the operands of each
-# product to a few MB, near the cache; a whole 521-frame M=16 batch ran 1.5x
-# slower in one piece.
-SLICE_COLUMNS = 4096
 # Rows (symbol columns of one parity) per real product.  OpenBLAS spreads a
 # product of about 1e6 multiply-adds or more over all cores; on 2 cores a
-# 1560 x 16 x 130 product (a 65-frame M=16 slice) gained nothing from the
-# second thread and its time varied several-fold from call to call.  256 rows
-# keep M=16 on one thread and still reuse an M=256 bank over ten frames.
+# 1560 x 16 x 130 product (65 frames of 48 columns at M=16) gained nothing
+# from the second thread and its time varied several-fold from call to call.
+# 256 rows keep M=16 on one thread and still reuse an M=256 bank over ten
+# frames.
 PRODUCT_ROWS = 256
 
 
@@ -159,15 +158,6 @@ class PulseBank:
         return np.where(np.arange(n_symbols) // 2 % 2, -1.0, 1.0)
 
 
-def _frame_slices(frames: int, per_frame: int, budget: int):
-    """Equal slices of whole frames, each of at most budget // per_frame
-    frames and at least one (a 130-frame M=16 batch ran faster as 65 + 65
-    frames than as 85 + 45)."""
-    most = max(1, budget // max(per_frame, 1))
-    step = max(1, -(-frames // max(1, -(-frames // most))))
-    return [slice(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
-
-
 def _rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """rows @ matrix in equal parts of at most PRODUCT_ROWS rows."""
     out = np.empty((rows.shape[0], matrix.shape[1]))
@@ -200,17 +190,16 @@ def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
     m_sub, lp = grid.subcarriers, grid.filter.length
     signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
                       dtype=np.complex128)
-    for sl in _frame_slices(a.shape[0], n_symbols, SLICE_COLUMNS):
-        per_slot = []
-        for r in (0, 1):
-            cols = a[sl, :, r::2].transpose(0, 2, 1)
-            rows = np.empty(cols.shape)
-            np.multiply(cols, signs[r::2, None], out=rows)
-            prod = _rows_product(rows.reshape(-1, m_sub), bank.folded[r])
-            per_slot.append(prod.view(np.complex128).reshape(*cols.shape[:2], lp))
-        for n in range(n_symbols):
-            start = n * grid.half_symbol
-            signal[sl, start : start + lp] += per_slot[n % 2][:, n // 2]
+    per_slot = []
+    for r in (0, 1):
+        cols = a[:, :, r::2].transpose(0, 2, 1)
+        rows = np.empty(cols.shape)
+        np.multiply(cols, signs[r::2, None], out=rows)
+        prod = _rows_product(rows.reshape(-1, m_sub), bank.folded[r])
+        per_slot.append(prod.view(np.complex128).reshape(*cols.shape[:2], lp))
+    for n in range(n_symbols):
+        start = n * grid.half_symbol
+        signal[:, start : start + lp] += per_slot[n % 2][:, n // 2]
     return signal
 
 
@@ -235,11 +224,10 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(
         x.view(np.float64), 2 * lp, axis=1)
     out = np.empty((x.shape[0], m_sub, n_symbols))
-    for sl in _frame_slices(x.shape[0], n_symbols, SLICE_COLUMNS):
-        for r in (0, 1):
-            n_r = (n_symbols - r + 1) // 2
-            rows = np.ascontiguousarray(windows[sl, r * m_sub :: 2 * m_sub][:, :n_r])
-            stats = _rows_product(rows.reshape(-1, 2 * lp), bank.folded[r].T)
-            stats = stats.reshape(rows.shape[0], n_r, m_sub).transpose(0, 2, 1)
-            np.multiply(stats, signs[r::2], out=out[sl, :, r::2])
+    for r in (0, 1):
+        n_r = (n_symbols - r + 1) // 2
+        rows = np.ascontiguousarray(windows[:, r * m_sub :: 2 * m_sub][:, :n_r])
+        stats = _rows_product(rows.reshape(-1, 2 * lp), bank.folded[r].T)
+        stats = stats.reshape(rows.shape[0], n_r, m_sub).transpose(0, 2, 1)
+        np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out

@@ -33,7 +33,6 @@ from .interference import FbmcGrid
 from .modem import (
     PRODUCT_ROWS,
     PulseBank,
-    _frame_slices,
     fbmc_analyze_frame,
     fbmc_synthesize,
     pam_demap,
@@ -250,6 +249,15 @@ _BLOCK_REALS = 2**15
 # block.  A batch of up to four parts (16 frames at M=256) stays one block,
 # parted as a whole.
 _FBMC_BLOCK_ROWS = 4 * PRODUCT_ROWS
+
+
+def _frame_slices(frames: int, per_frame: int, budget: int):
+    """Equal slices of whole frames, each of at most budget // per_frame
+    frames and at least one (a 130-frame M=16 batch ran faster as 65 + 65
+    frames than as 85 + 45)."""
+    most = max(1, budget // max(per_frame, 1))
+    step = max(1, -(-frames // max(1, -(-frames // most))))
+    return [slice(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
 
 
 @dataclass(frozen=True)

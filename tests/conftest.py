@@ -33,6 +33,13 @@ def egf_filters():
     return {alpha: make_egf(alpha, K, M) for alpha in (0.25, 1.0)}
 
 
+def table_eps(table, m, n):
+    """Element eps[m, n] of a build_set table; 0.0 for a slot the table
+    leaves out: (0, 0), odd m + n, or |n| past the grid's time span."""
+    hit = np.flatnonzero((table.m == m) & (table.n == n))
+    return float(table.eps[hit[0]]) if hit.size else 0.0
+
+
 def random_symmetric_filter(rng, m, k=3):
     """Random unit-energy even-symmetric filter of length k*m + 1."""
     length = k * m + 1
@@ -50,12 +57,11 @@ def frame_blocks(system, frames):
     parity for FBMC, at most simulate._BLOCK_REALS noise reals for PAM and
     OFDM."""
     from fbmcber import simulate
-    from fbmcber.modem import _frame_slices
 
     if isinstance(system, simulate.FbmcSystem):
-        return _frame_slices(frames, (system.frame_symbols + 1) // 2,
-                             simulate._FBMC_BLOCK_ROWS)
+        return simulate._frame_slices(frames, (system.frame_symbols + 1) // 2,
+                                      simulate._FBMC_BLOCK_ROWS)
     reals = system.frame_symbols
     if isinstance(system, simulate.OfdmSystem):
         reals *= 2 * system.subcarriers
-    return _frame_slices(frames, reals, simulate._BLOCK_REALS)
+    return simulate._frame_slices(frames, reals, simulate._BLOCK_REALS)

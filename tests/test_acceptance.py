@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_filter
+from conftest import random_symmetric_filter, table_eps
 from test_analytic import cho_yoon_reference
 from fbmcber import analytic as an
 from fbmcber.enumeration import offset_support
@@ -19,7 +19,8 @@ from fbmcber.interference import (
     FbmcGrid,
     InterferenceTable,
     build_set,
-    epsilon,
+    inner_product,
+    pulse,
     set_size,
     sir,
     truncate,
@@ -289,14 +290,19 @@ class TestCriterion8PropertySuites:
             rng = np.random.default_rng(9000 + trial)
             m_sub = 8
             grid = FbmcGrid(m_sub, random_symmetric_filter(rng, m_sub, k=3))
+            table = build_set(grid)
+            slots = set(zip(table.m.tolist(), table.n.tolist()))
+            ref = pulse(grid, 0, 0)
             sign_base = (-1) ** (m_sub // 2)
             for n in range(-grid.time_span, grid.time_span + 1):
                 for m in range(1, m_sub // 2 + 1):
-                    val = epsilon(grid, m, n)
-                    if (m + n) % 2:
-                        assert val == 0.0  # odd-parity null
-                    worst = max(worst, abs(val - epsilon(grid, m, -n)))
-                    mirror = epsilon(grid, m_sub - m, n)
+                    val = table_eps(table, m, n)
+                    if (m + n) % 2:  # odd-parity null
+                        assert (m, n) not in slots
+                        direct = inner_product(pulse(grid, m, n), ref).real
+                        assert abs(direct) < 1e-12
+                    worst = max(worst, abs(val - table_eps(table, m, -n)))
+                    mirror = table_eps(table, m_sub - m, n)
                     sign = sign_base * (-1) ** n
                     worst = max(worst, abs(mirror - sign * val))
         report(f"C8 symmetries over 20 random filters: worst residual {worst:.2e}")
@@ -304,6 +310,7 @@ class TestCriterion8PropertySuites:
 
     def test_modem_matches_interference_table(self, systems):
         grid = systems["martin"]["grid"]
+        table = build_set(grid)
         rng = np.random.default_rng(77)
         pam = PamConstellation(8)
         n_cols = 12
@@ -317,7 +324,7 @@ class TestCriterion8PropertySuites:
             for m in range(M):
                 for n in range(n_cols):
                     dm, dn = (m - m0) % M, n - n0
-                    gain = 1.0 if (dm, dn) == (0, 0) else epsilon(grid, dm, dn)
+                    gain = 1.0 if (dm, dn) == (0, 0) else table_eps(table, dm, dn)
                     predicted += symbols[m, n] * (-1.0) ** ((m - m0) * n0) * gain
             worst = max(worst, abs(proj[m0, n0].real - predicted))
         report(f"C8 analyze(synthesize) vs table prediction: worst {worst:.2e}")

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_filter
+from conftest import random_symmetric_filter, table_eps
 from fbmcber.filters import make_egf, make_martin, make_rect
 from fbmcber.interference import (
     NULL_THRESHOLD,
     FbmcGrid,
     build_set,
-    epsilon,
     export_table_csv,
     inner_product,
     ordered_magnitudes,
@@ -94,7 +93,7 @@ class TestAgainstExtendedPrecision:
                 ref = float(mpmath.fsum(mpmath.mpf(t) ** 2 for t in taps))
         eps00 = build_set(grid).eps00
         assert abs(eps00 - ref) <= 2.2e-16
-        assert epsilon(grid, 0, 0) == eps00
+        assert abs(eps00 - pulse(grid, 0, 0).energy()) <= 2.2e-16
 
     @staticmethod
     def _check(grid, precision):
@@ -131,18 +130,34 @@ class TestSetSize:
 
 
 class TestEpsilon:
-    def test_reference_energy(self, martin_grid):
-        assert epsilon(martin_grid, 0, 0) == pytest.approx(1.0, abs=1e-12)
+    def test_reference_energy(self, martin_table):
+        assert martin_table.eps00 == pytest.approx(1.0, abs=1e-12)
 
-    def test_odd_parity_exact_zero(self, martin_grid):
+    def test_odd_parity_exact_zero(self, martin_grid, martin_table):
+        slots = set(zip(martin_table.m.tolist(), martin_table.n.tolist()))
+        ref = pulse(martin_grid, 0, 0)
         for m, n in [(1, 0), (0, 1), (2, 1), (3, 4), (5, -2)]:
-            assert epsilon(martin_grid, m, n) == 0.0
+            assert (m, n) not in slots
+            assert abs(inner_product(pulse(martin_grid, m, n), ref).real) < 1e-12
 
     def test_support_bound(self, martin_grid):
+        """One step past the time span the pulses overlap the reference in
+        one sample, p[0] * p[L_p - 1]: Martin's end taps make it vanish,
+        rect K=4 at M=16 gives 1/65, and the set leaves it out."""
         span = martin_grid.time_span
+        ref = pulse(martin_grid, 0, 0)
         for m in range(16):
-            assert abs(epsilon(martin_grid, m, span + 1)) < 1e-15
-            assert abs(epsilon(martin_grid, m, -(span + 1))) < 1e-15
+            for n in (span + 1, -(span + 1)):
+                direct = inner_product(pulse(martin_grid, m, n), ref).real
+                assert abs(direct) < 1e-15
+        rect = FbmcGrid(16, make_rect(16, 4))
+        past = rect.time_span + 1
+        assert past * rect.half_symbol == rect.filter.length - 1
+        ref = pulse(rect, 0, 0)
+        for n in (past, -past):
+            direct = inner_product(pulse(rect, 0, n), ref).real
+            assert direct == pytest.approx(1 / 65, rel=1e-12)
+        assert np.max(np.abs(build_set(rect).n)) == rect.time_span
 
     def test_oracle_equivalence_full_table(self, martin_grid):
         # Martin at M=16, then EGF 1.0 at M=64 with every allowed length;
@@ -156,24 +171,18 @@ class TestEpsilon:
                 direct = inner_product(pulse(grid, int(m), int(n)), ref).real
                 assert abs(direct - eps) < 1e-12
 
-    @pytest.mark.parametrize("length", [64, 65])
-    def test_scalar_matches_table_bit_for_bit(self, length):
-        grid = FbmcGrid(16, make_egf(1.0, 4, 16, length))
-        table = build_set(grid)
-        for m, n, eps in zip(table.m, table.n, table.eps):
-            assert epsilon(grid, int(m), int(n)) == eps
-        assert epsilon(grid, 0, 0) == table.eps00
-
-    def test_subcarrier_range(self, martin_grid):
+    def test_subcarrier_range(self, martin_grid, martin_table):
+        assert set(martin_table.m.tolist()) == set(range(16))
         for m in (-1, 16):
             with pytest.raises(ValueError):
-                epsilon(martin_grid, m, 0)
+                pulse(martin_grid, m, 0)
 
-    def test_adjacent_pulse_real_projection_is_zero(self, martin_grid):
+    def test_adjacent_pulse_real_projection_is_zero(self, martin_grid,
+                                                    martin_table):
         # m + n odd: the real projection vanishes for symmetric filters.
         direct = inner_product(pulse(martin_grid, 1, 0), pulse(martin_grid, 0, 0))
         assert abs(direct.real) < 1e-12
-        assert abs(epsilon(martin_grid, 1, 0)) == 0.0
+        assert table_eps(martin_table, 1, 0) == 0.0
 
     def test_pulse_energy(self, martin_grid):
         for m, n in [(0, 0), (3, 2), (15, -5)]:
@@ -199,16 +208,21 @@ class TestSymmetryProperties:
         m_sub = 8
         filt = random_symmetric_filter(rng, m_sub, k=3)
         grid = FbmcGrid(m_sub, filt)
+        table = build_set(grid)
+        slots = set(zip(table.m.tolist(), table.n.tolist()))
+        ref = pulse(grid, 0, 0)
         span = grid.time_span
         for n in range(-span, span + 1):
             sign = (-1) ** (m_sub // 2 + n)
             for m in range(m_sub):
-                val = epsilon(grid, m, n)
-                if (m + n) % 2:
-                    assert val == 0.0  # odd m + n parity null
-                assert val == pytest.approx(epsilon(grid, m, -n), abs=1e-12)
+                val = table_eps(table, m, n)
+                if (m + n) % 2:  # odd m + n parity null
+                    assert (m, n) not in slots
+                    direct = inner_product(pulse(grid, m, n), ref).real
+                    assert abs(direct) < 1e-12
+                assert val == pytest.approx(table_eps(table, m, -n), abs=1e-12)
                 if 1 <= m <= m_sub // 2:
-                    mirror = epsilon(grid, m_sub - m, n)
+                    mirror = table_eps(table, m_sub - m, n)
                     assert mirror == pytest.approx(sign * val, abs=1e-12)
                     if sign == -1:
                         assert val + mirror == pytest.approx(0.0, abs=1e-12)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import table_eps
 from fbmcber import modem
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
 from fbmcber.filters import make_egf
-from fbmcber.interference import FbmcGrid, epsilon, pulse
+from fbmcber.interference import FbmcGrid, pulse
 from fbmcber.modem import (
     PulseBank,
     fbmc_analyze_frame,
@@ -155,7 +156,7 @@ class TestFbmcChain:
         assert abs(proj.real[3, 2]) < 1e-12
         assert abs(proj.real[2, 3]) < 1e-12
 
-    def test_reconstruction_matches_interference_table(self, martin_grid,
+    def test_reconstruction_matches_interference_table(self, martin_table,
                                                        martin_bank):
         """analyze(synthesize(one-hot)) = (-1)^(dm*n0) eps[dm mod M, dn]."""
         m_sub = 16
@@ -167,11 +168,11 @@ class TestFbmcChain:
             signal = fbmc_synthesize(a[None], martin_bank)
             got = fbmc_analyze_frame(signal, martin_bank, n_cols)[0].real[m0, n0]
             dm, dn = (m1 - m0) % m_sub, n1 - n0
-            expected = 1.0 if (dm, dn) == (0, 0) else epsilon(martin_grid, dm, dn)
+            expected = 1.0 if (dm, dn) == (0, 0) else table_eps(martin_table, dm, dn)
             expected *= (-1.0) ** ((m1 - m0) * n0)
             assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_full_frame_against_table_prediction(self, martin_grid, martin_bank):
+    def test_full_frame_against_table_prediction(self, martin_table, martin_bank):
         rng = np.random.default_rng(8)
         pam = PamConstellation(8)
         n_cols = 12
@@ -184,7 +185,7 @@ class TestFbmcChain:
             for m in range(16):
                 for n in range(n_cols):
                     dm, dn = (m - m0) % 16, n - n0
-                    gain = 1.0 if (dm, dn) == (0, 0) else epsilon(martin_grid, dm, dn)
+                    gain = 1.0 if (dm, dn) == (0, 0) else table_eps(martin_table, dm, dn)
                     predicted += a[m, n] * (-1.0) ** ((m - m0) * n0) * gain
             assert proj[m0, n0].real == pytest.approx(predicted, abs=1e-10)
 
@@ -309,10 +310,9 @@ class TestFbmcOracles:
         assert signal.shape == (0, fbmc_signal_length(martin_grid, 9))
         assert fbmc_analyze_frame(signal, martin_bank, 9).shape == (0, 16, 9)
 
-    def test_batch_spanning_two_slices(self, martin_bank):
+    def test_batch_equals_its_single_frames(self, martin_bank):
         frames, n_cols = 460, 9
-        assert modem.SLICE_COLUMNS < frames * n_cols <= 2 * modem.SLICE_COLUMNS
-        # and each slice's products run in several parts of PRODUCT_ROWS rows
+        # the batch's products run in several parts of PRODUCT_ROWS rows
         assert frames // 2 * (n_cols // 2) > 2 * modem.PRODUCT_ROWS
         rng = np.random.default_rng(25)
         a = rng.normal(size=(frames, 16, n_cols))

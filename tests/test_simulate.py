@@ -177,6 +177,24 @@ class TestChannel:
         wrong = bits != qam_demap(y.ravel(), qam)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
 
+    def test_frame_slices_cover_whole_frames(self):
+        """Contiguous slices of whole frames cover 0..frames in order, each
+        of at most max(1, budget // per_frame) frames, as few as that
+        allows, all but the last of one length."""
+        for frames in (0, 1, 7, 42, 89, 130, 601):
+            for per_frame in (1, 3, 24, 5000):
+                for budget in (0, 100, 1024, 2**15):
+                    most = max(1, budget // per_frame)
+                    slices = simulate._frame_slices(frames, per_frame, budget)
+                    bounds = [(sl.start, sl.stop, sl.step) for sl in slices]
+                    assert [lo for lo, _, _ in bounds] + [frames] == [0] + [
+                        hi for _, hi, _ in bounds]
+                    assert all(step is None for _, _, step in bounds)
+                    sizes = [hi - lo for lo, hi, _ in bounds]
+                    assert all(0 < size <= most for size in sizes)
+                    assert len(slices) == math.ceil(frames / most)
+                    assert len(set(sizes[:-1])) <= 1
+
     @pytest.mark.parametrize("system,frames,channel", [
         (PamSystem(4, frame_symbols=5000), 19, AWGN),
         (PamSystem(4, frame_symbols=5000), 19, ChannelModel("rayleigh", 7)),
