@@ -2,9 +2,11 @@
 
 Gray PAM bit mapping, with square QAM as PAM over the interleaved
 (re, im) parts of its symbols, and FBMC synthesis and analysis of frame
-batches as real matrix products with a `PulseBank`'s two phase-folded
-banks: real PAM amplitudes in, real decision statistics Re<x|p[m,n]>
-out.  The cyclic-prefix OFDM chain is part of `simulate.OfdmSystem`.
+batches in polyphase form: per column parity one real matrix product
+with a `PulseBank`'s M x M root-of-unity matrix, and one multiply-add per
+chunk of M prototype taps.  Real PAM amplitudes in, real decision
+statistics Re<x|p[m,n]> out.  The cyclic-prefix OFDM chain is part of
+`simulate.OfdmSystem`.
 Bit groups are LSB-first; the Gray codeword of ascending level index i
 is i ^ (i >> 1), identical for PAM and each QAM dimension.
 """
@@ -107,30 +109,35 @@ def qam_demap(values, qam: QamConstellation) -> np.ndarray:
 #
 # The slot phase chi[m, n] = i**(2*m*n + m + n) obeys chi[m, n + 2] =
 # -chi[m, n], so chi[m, n] = (-1)**(n // 2) * chi[m, n % 2] and two
-# chi-folded banks, one per column parity, carry every pulse.  With real
-# amplitudes and real decisions each product is a real matrix product
-# with the banks seen as interleaved (re, im) float rows.  Each call runs
-# the whole batch it is given; the simulator keeps its batches near the
-# cache by passing them in blocks.
+# chi-folded banks, one per column parity, carry every pulse; `PulseBank`
+# holds them in polyphase form.  With real amplitudes and real decisions
+# each product is a real matrix product with the complex samples seen as
+# interleaved (re, im) floats.  Each call runs the whole batch it is
+# given; the simulator keeps its batches near the cache by passing them
+# in blocks.
 
 # Rows (symbol columns of one parity) per real product.  OpenBLAS spreads a
 # product of about 1e6 multiply-adds or more over all cores; on 2 cores a
 # 1560 x 16 x 130 product (65 frames of 48 columns at M=16) gained nothing
 # from the second thread and its time varied several-fold from call to call.
-# 256 rows keep M=16 on one thread and still reuse an M=256 bank over ten
-# frames.
+# 256 rows keep M=16 on one thread.
 PRODUCT_ROWS = 256
 
 
 class PulseBank:
-    """Chi-folded modulated prototypes of a grid.
+    """Chi-folded modulated prototypes of a grid, in polyphase form.
 
     With q[m, j] = p[j] * exp(2j*pi*m*(j - (L_p-1)/2)/M), the pulse at slot
     (m, n) is signs(N)[n] * fold[n % 2][m] placed at sample offset n*M/2,
-    where fold[r][m] = chi[m, r] * q[m].  folded is the (2, M, 2*L_p)
-    float64 view of fold: row m of folded[r] interleaves the real and
-    imaginary parts of fold[r][m], so a real row vector times folded[r]
-    is a real combination of the complex pulses.
+    where fold[r][m] = chi[m, r] * q[m].  The phase of fold[r][m, j] has
+    period M in j, so fold[r][m, j] = p[j] * period[r][m, j mod M]:
+
+    period: the (2, M, 2M) float64 view of the two complex M x M root-of-
+        unity matrices; row m of period[r] interleaves the real and
+        imaginary parts, so a real row vector times period[r] is a real
+        combination of the complex rows.
+    chunks: the (C, 2M) taps p[q*M + i], C = ceil(L_p / M), each repeated
+        for the real and the imaginary part and zero past L_p.
     """
 
     def __init__(self, grid: FbmcGrid):
@@ -143,14 +150,14 @@ class PulseBank:
         m = np.arange(m_sub)[:, None]
         j = np.arange(m_sub)[None, :]
         roots = np.exp(1j * np.pi / m_sub * np.arange(2 * m_sub))
-        fold = np.empty((2, m_sub, lp), dtype=np.complex128)
+        period = np.empty((2, m_sub, m_sub), dtype=np.complex128)
         for r in (0, 1):
             k = 2 * m * j - m * (lp - 1) + (2 * m * r + m + r) * (m_sub // 2)
-            period = roots[k % (2 * m_sub)]
-            for lo in range(0, lp, m_sub):
-                hi = min(lo + m_sub, lp)
-                np.multiply(period[:, : hi - lo], taps[lo:hi], out=fold[r, :, lo:hi])
-        self.folded = fold.view(np.float64).reshape(2, m_sub, 2 * lp)
+            period[r] = roots[k % (2 * m_sub)]
+        self.period = period.view(np.float64)
+        padded = np.zeros(-(-lp // m_sub) * m_sub)
+        padded[:lp] = taps
+        self.chunks = np.repeat(padded, 2).reshape(-1, 2 * m_sub)
 
     @staticmethod
     def signs(n_symbols: int) -> np.ndarray:
@@ -187,20 +194,28 @@ def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
     if n_symbols < 1:
         raise RangeError("a frame needs at least one symbol column")
     signs = bank.signs(n_symbols)
-    m_sub, lp = grid.subcarriers, grid.filter.length
-    signal = np.zeros((a.shape[0], fbmc_signal_length(grid, n_symbols)),
-                      dtype=np.complex128)
-    per_slot = []
+    m_sub, frames = grid.subcarriers, a.shape[0]
+    n_chunks, width = bank.chunks.shape
+    # Column n starts at float n*M of the (re, im) view and chunk q of its
+    # pulse 2q*M floats later.  Columns of one parity sit width = 2M floats
+    # apart, so a chunk's terms for all of them are one contiguous run; the
+    # chunks, tiled over the columns, scale a run in one pass.  The last
+    # chunk's zero taps past L_p get room past the end of the signal.
+    tiled = np.tile(bank.chunks, (n_symbols + 1) // 2)
+    signal = np.zeros((frames, (n_symbols + 2 * n_chunks - 1) * m_sub))
     for r in (0, 1):
         cols = a[:, :, r::2].transpose(0, 2, 1)
         rows = np.empty(cols.shape)
         np.multiply(cols, signs[r::2, None], out=rows)
-        prod = _rows_product(rows.reshape(-1, m_sub), bank.folded[r])
-        per_slot.append(prod.view(np.complex128).reshape(*cols.shape[:2], lp))
-    for n in range(n_symbols):
-        start = n * grid.half_symbol
-        signal[:, start : start + lp] += per_slot[n % 2][:, n // 2]
-    return signal
+        run = cols.shape[1] * width
+        prod = _rows_product(rows.reshape(-1, m_sub), bank.period[r])
+        prod = prod.reshape(frames, run)
+        term = np.empty_like(prod)
+        for q in range(n_chunks):
+            lo = (r + 2 * q) * m_sub
+            np.multiply(prod, tiled[q, :run], out=term)
+            signal[:, lo : lo + run] += term
+    return signal.view(np.complex128)[:, : fbmc_signal_length(grid, n_symbols)]
 
 
 def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
@@ -218,16 +233,22 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     needed = fbmc_signal_length(grid, n_symbols)
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")
-    m_sub, lp = grid.subcarriers, grid.filter.length
+    m_sub, lp, frames = grid.subcarriers, grid.filter.length, x.shape[0]
+    n_chunks, width = bank.chunks.shape
     signs = bank.signs(n_symbols)
-    # column n starts at float offset 2 * n * M/2 = n * M of the (re, im) view
+    # column n reads the 2*L_p floats from float n*M of the (re, im) view:
+    # one window view serves both parities, and the last, partial chunk
+    # reads only as far as the taps reach
     windows = np.lib.stride_tricks.sliding_window_view(
-        x.view(np.float64), 2 * lp, axis=1)
-    out = np.empty((x.shape[0], m_sub, n_symbols))
+        x.view(np.float64), 2 * lp, axis=1)[:, ::m_sub][:, :n_symbols]
+    full = (n_chunks - 1) * width
+    whole = windows[..., :full].reshape(frames, n_symbols, n_chunks - 1, width)
+    acc = np.einsum("bnqi,qi->bni", whole, bank.chunks[:-1])
+    acc[..., : 2 * lp - full] += windows[..., full:] * bank.chunks[-1, : 2 * lp - full]
+    out = np.empty((frames, m_sub, n_symbols))
     for r in (0, 1):
-        n_r = (n_symbols - r + 1) // 2
-        rows = np.ascontiguousarray(windows[:, r * m_sub :: 2 * m_sub][:, :n_r])
-        stats = _rows_product(rows.reshape(-1, 2 * lp), bank.folded[r].T)
-        stats = stats.reshape(rows.shape[0], n_r, m_sub).transpose(0, 2, 1)
+        rows = np.ascontiguousarray(acc[:, r::2])
+        stats = _rows_product(rows.reshape(-1, width), bank.period[r].T)
+        stats = stats.reshape(rows.shape[:2] + (m_sub,)).transpose(0, 2, 1)
         np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out

@@ -9,13 +9,14 @@ so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
 per subcarrier and OFDM symbol (OFDM) or per frame (FBMC), each held
 for `coherence` such units.  A batch draws, in this order, the bits and
 the fades (Rayleigh only) of all its frames.  It then runs in blocks of
-whole frames, small enough to stay near the cache: each block draws its
-noise as one interleaved standard_normal array (complex for OFDM and
-FBMC), then maps, passes the channel, demaps and counts.  Consecutive
-standard_normal calls continue one stream, so the blocks' noise is, value
-for value, one noise draw of the whole batch.  The generator of batch b
-of SNR point i is seeded with (master_seed, i, b), so a given seed and
-configuration reproduce results bit for bit.
+whole frames, small enough to stay near the cache: a block of any system
+holds at most _BLOCK_REALS noise reals.  Each block draws its noise as
+one interleaved standard_normal array (complex for OFDM and FBMC), then
+maps, passes the channel (and the FBMC modem), demaps and counts.
+Consecutive standard_normal calls continue one stream, so the blocks'
+noise is, value for value, one noise draw of the whole batch.  The
+generator of batch b of SNR point i is seeded with (master_seed, i, b),
+so a given seed and configuration reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .analytic import _ofdm_args
 from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
-    PRODUCT_ROWS,
     PulseBank,
     fbmc_analyze_frame,
+    fbmc_signal_length,
     fbmc_synthesize,
     pam_demap,
     pam_map,
@@ -241,14 +242,10 @@ def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
 # whole frames: each draws its own noise, maps, passes the channel (and the
 # FBMC modem), demaps and counts.
 
-# Noise reals per PAM or OFDM block (256 KB): 2**14 and 2**17 were slower.
+# Noise reals per block (256 KB) of every system: 2**14 and 2**17 were
+# slower for PAM and OFDM.  An FBMC frame's noise is its whole complex
+# signal, so a block holds 37 frames at M=16 and 2 at M=256 (N=48).
 _BLOCK_REALS = 2**15
-# Rows per parity of an FBMC block: four modem product parts.  Blocks of one
-# part (10 frames at M=16, N=48) ran about 30% slower, as the modem's
-# per-call work, such as its N column overlap-adds, does not shrink with the
-# block.  A batch of up to four parts (16 frames at M=256) stays one block,
-# parted as a whole.
-_FBMC_BLOCK_ROWS = 4 * PRODUCT_ROWS
 
 
 def _frame_slices(frames: int, per_frame: int, budget: int):
@@ -406,7 +403,8 @@ class FbmcSystem:
         h = _fades(rng, channel, (frames,))
         lo, hi = self.edge_columns, nsym - self.edge_columns
         errors = np.empty(frames, dtype=np.intp)
-        for sl in _frame_slices(frames, (nsym + 1) // 2, _FBMC_BLOCK_ROWS):
+        reals = 2 * fbmc_signal_length(self.grid, nsym)
+        for sl in _frame_slices(frames, reals, _BLOCK_REALS):
             a = pam_map(bits[sl], pam).reshape(-1, m, nsym)
             s = fbmc_synthesize(a, self.bank)
             x = _noise(rng, n0, s.shape, np.complex128,

@@ -53,15 +53,16 @@ def random_symmetric_filter(rng, m, k=3):
 
 def frame_blocks(system, frames):
     """The blocks of whole frames that system.simulate_frames runs a batch
-    of `frames` in: at most simulate._FBMC_BLOCK_ROWS product rows per
-    parity for FBMC, at most simulate._BLOCK_REALS noise reals for PAM and
-    OFDM."""
+    of `frames` in: at most simulate._BLOCK_REALS noise reals each, the
+    noise of a frame being its PAM symbols, its complex OFDM symbols or its
+    complex FBMC signal."""
     from fbmcber import simulate
+    from fbmcber.modem import fbmc_signal_length
 
     if isinstance(system, simulate.FbmcSystem):
-        return simulate._frame_slices(frames, (system.frame_symbols + 1) // 2,
-                                      simulate._FBMC_BLOCK_ROWS)
-    reals = system.frame_symbols
-    if isinstance(system, simulate.OfdmSystem):
-        reals *= 2 * system.subcarriers
+        reals = 2 * fbmc_signal_length(system.grid, system.frame_symbols)
+    else:
+        reals = system.frame_symbols
+        if isinstance(system, simulate.OfdmSystem):
+            reals *= 2 * system.subcarriers
     return simulate._frame_slices(frames, reals, simulate._BLOCK_REALS)

@@ -235,7 +235,8 @@ class TestFbmcChain:
 class TestFbmcOracles:
     """The matrix-product modem against separate code paths."""
 
-    @pytest.fixture(scope="class", params=[4 * 64 + 1, 4 * 64], ids=["KM+1", "KM"])
+    @pytest.fixture(scope="class", params=[4 * 64 + 1, 4 * 64, 4 * 64 - 1],
+                    ids=["KM+1", "KM", "KM-1"])
     def egf_grid(self, request):
         return FbmcGrid(64, make_egf(1.0, 4, 64, length=request.param))
 
@@ -244,16 +245,17 @@ class TestFbmcOracles:
         return PulseBank(egf_grid)
 
     def test_synthesis_matches_pulse_superposition(self, egf_grid, egf_bank):
+        """Also with one and two columns, where a parity has none or one."""
         rng = np.random.default_rng(21)
-        n_cols = 6
-        a = rng.normal(size=(64, n_cols))
-        signal = fbmc_synthesize(a[None], egf_bank)[0]
-        expected = np.zeros(signal.size, dtype=complex)
-        for m in range(64):
-            for n in range(n_cols):
-                p = pulse(egf_grid, m, n)
-                expected[p.start : p.start + p.samples.size] += a[m, n] * p.samples
-        assert np.max(np.abs(signal - expected)) < 1e-12
+        for n_cols in (1, 2, 6):
+            a = rng.normal(size=(64, n_cols))
+            signal = fbmc_synthesize(a[None], egf_bank)[0]
+            expected = np.zeros(signal.size, dtype=complex)
+            for m in range(64):
+                for n in range(n_cols):
+                    p = pulse(egf_grid, m, n)
+                    expected[p.start : p.start + p.samples.size] += a[m, n] * p.samples
+            assert np.max(np.abs(signal - expected)) < 1e-12
 
     def test_analysis_is_adjoint_of_synthesis(self, egf_grid, egf_bank):
         rng = np.random.default_rng(22)
@@ -267,32 +269,44 @@ class TestFbmcOracles:
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
     def test_analysis_matches_pulse_projections(self, egf_grid, egf_bank):
+        """Also with one and two columns, where a parity has none or one."""
         rng = np.random.default_rng(24)
-        n_cols = 6
-        length = fbmc_signal_length(egf_grid, n_cols)
-        x = rng.normal(size=length) + 1j * rng.normal(size=length)
-        stats = fbmc_analyze_frame(x[None], egf_bank, n_cols)[0]
-        assert stats.dtype == np.float64 and stats.shape == (64, n_cols)
-        expected = np.empty((64, n_cols))
-        for m in range(64):
-            for n in range(n_cols):
-                p = pulse(egf_grid, m, n)
-                window = x[p.start : p.start + p.samples.size]
-                expected[m, n] = np.vdot(p.samples, window).real
-        assert np.max(np.abs(stats - expected)) < 1e-12
+        for n_cols in (1, 2, 6):
+            length = fbmc_signal_length(egf_grid, n_cols)
+            x = rng.normal(size=length) + 1j * rng.normal(size=length)
+            stats = fbmc_analyze_frame(x[None], egf_bank, n_cols)[0]
+            assert stats.dtype == np.float64 and stats.shape == (64, n_cols)
+            expected = np.empty((64, n_cols))
+            for m in range(64):
+                for n in range(n_cols):
+                    p = pulse(egf_grid, m, n)
+                    window = x[p.start : p.start + p.samples.size]
+                    expected[m, n] = np.vdot(p.samples, window).real
+            assert np.max(np.abs(stats - expected)) < 1e-12
 
     def test_phase_fold(self, egf_grid, egf_bank):
-        """p[m, n+2] is -p[m, n] one symbol (M samples) later, so the two
-        parity banks and the column signs give every pulse."""
-        n_cols = 8
+        """p[m, n+2] is -p[m, n] one symbol (M samples) later, and p[m, n]
+        is signs[n] * taps[j] * period[n % 2][m, j mod M]: the two
+        root-of-unity matrices, the tap chunks and the column signs give
+        every pulse."""
+        n_cols, m_sub = 8, egf_grid.subcarriers
         signs = egf_bank.signs(n_cols)
         assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
-        fold = egf_bank.folded.view(np.complex128)
+        taps = egf_grid.filter.coeffs
+        period = egf_bank.period.view(np.complex128)
+        assert period.shape == (2, m_sub, m_sub)
+        chunks = egf_bank.chunks
+        assert chunks.shape == (-(-taps.size // m_sub), 2 * m_sub)
+        assert np.array_equal(chunks[:, ::2], chunks[:, 1::2])
+        assert np.array_equal(chunks[:, ::2].ravel()[: taps.size], taps)
+        assert not chunks[:, ::2].ravel()[taps.size :].any()
+        j = np.arange(taps.size)
         for m in (0, 1, 2, 3, 37, 63):
             for n in range(n_cols):
                 p = pulse(egf_grid, m, n).samples
                 assert np.max(np.abs(pulse(egf_grid, m, n + 2).samples + p)) < 1e-12
-                assert np.max(np.abs(signs[n] * fold[n % 2, m] - p)) < 1e-12
+                fold = signs[n] * taps * period[n % 2, m, j % m_sub]
+                assert np.max(np.abs(fold - p)) < 1e-12
 
     def test_batch_equals_single_frames(self, martin_bank):
         rng = np.random.default_rng(23)
