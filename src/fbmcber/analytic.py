@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import enumeration
 from .constellations import PamConstellation, QamConstellation
@@ -56,6 +55,8 @@ def db_to_linear(db):
 
 def q_function(x):
     """Standard normal tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
+    from scipy.special import erfc  # loaded on first use, as in enumeration
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 

@@ -212,9 +212,11 @@ def _analytic_curve(args, ebn0_db, filt, stages):
                        budget=args.budget)
         sizes = {"offsets_per_point": args.np ** len(table),
                  "support_points": enumeration.support_size(table.eps, args.np)}
+        # Milliseconds to 3 significant digits, never in exponent form.
+        bep_ms = float(f"{stages['bep'] * 1e3:.3g}")
         print(f"# enumerated {sizes['offsets_per_point']} offsets/point as "
               f"{sizes['support_points']} support points over {len(table)} "
-              f"elements in {stages['bep']:.1f}s total", file=sys.stderr)
+              f"elements in {bep_ms:g} ms total", file=sys.stderr)
         filt_label, kmax = filt.label, args.kmax
     model = "-".join(what)
     curve = analytic.BepCurve(model, ebn0_db, probs, filt_label, kmax, n_cp)

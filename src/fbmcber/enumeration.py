@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .constellations import PamConstellation
 from .errors import EnumerationBudgetExceeded
@@ -75,6 +74,10 @@ def _kernel(t, kind):
     rayleigh kernel  K(t) = 0.5 * (1 - t / sqrt(t^2 + 1))
     """
     if kind == "awgn":
+        # Imported here: scipy.special costs a cold run about 0.3 s, and
+        # only AWGN curves need it.
+        from scipy.special import erfc
+
         return 0.5 * erfc(t)
     # Rationalized Rayleigh form: 1/(2 s (s + t)) for t > 0 keeps full
     # precision where the BEP flattens into a floor.
@@ -89,7 +92,11 @@ def reduce_offsets(eps, order, scales, thetas, weights, kind,
     `scales` holds the kernel scale sqrt(u * gamma / 2) per SNR point and
     `kind` is 'awgn' or 'rayleigh'.  The mean is the multiplicity-weighted
     sum over offset_support(eps, order), taken slice by slice in a fixed
-    order with exact (fsum) accumulation of the partial sums.
+    order with exact (fsum) accumulation of the partial sums, divided by
+    the offset count order**k.  That count is the sum of the
+    multiplicities, an exact power of two: it equals their fsum bit for
+    bit while order**k <= 2**53, and is the exact count beyond, where
+    the float multiplicities themselves round.
     """
     values, mults = offset_support(eps, order, budget)
     scales = np.atleast_1d(np.asarray(scales, dtype=np.float64))
@@ -101,5 +108,5 @@ def reduce_offsets(eps, order, scales, thetas, weights, kind,
         mult = mults[start:start + SLICE]
         for part, scale in zip(parts, scales):
             part.extend(weights * (_kernel(scale * diff, kind) * mult).sum(axis=1))
-    total = math.fsum(mults)
+    total = float(order) ** len(eps)
     return np.array([math.fsum(part) / total for part in parts])

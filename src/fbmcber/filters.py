@@ -146,8 +146,17 @@ def _orth_cos_coeffs(width: float, period: float, tol: float = 1e-18) -> np.ndar
     1/sqrt(P(u)) = d_0 + sum_{k>=1} d_k cos(2*pi*k*u/period), with the
     trailing coefficients below tol * max|d_k| dropped; the default tol
     is below the FFT's rounding floor, so nearly all of them are kept.
+
+    A 512-point grid resolves the series.  By Poisson summation
+    P(u) = 1 + 2 * sum_{k>=1} exp(-pi * k^2 / (2 * width * period^2))
+    * cos(2*pi*k*u/period), which for the EGF lattice (width = 1/alpha,
+    period^2 = 1/2) is 1 + 2 * sum_k exp(-pi*alpha*k^2) cos(2*pi*k*u/T).
+    1/sqrt(P) is analytic, and its d_k fall about as exp(-pi*alpha*k):
+    at alpha = 0.25 they reach the rounding floor near k = 50, so the
+    aliases of the 256 harmonics of the grid lie below 1e-80.  A grid of
+    16384 points changes no d_k by more than 2e-16.
     """
-    n_grid = 8192
+    n_grid = 512
     u = np.arange(n_grid) * (period / n_grid)
     spectrum = np.fft.rfft(1.0 / np.sqrt(_periodized(u, width, period))) / n_grid
     coeffs = spectrum.real.copy()

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +22,32 @@ def test_module_all_resolves(name):
 
 def test_modules_are_found():
     assert {"analytic", "modem", "simulate"} <= set(MODULES)
+
+
+COLD_RUN = """
+import sys
+import fbmcber as f
+from fbmcber import analytic as an
+
+tables = [f.truncate(f.build_set(f.FbmcGrid(16, filt)), 8)
+          for filt in (f.make_martin(4, 16), f.make_egf(0.25, 4, 16))]
+an.fbmc_rayleigh_exact(8, tables[1], an.db_to_linear([0.0, 20.0, 40.0]))
+print("scipy.special" in sys.modules)
+print(an.fbmc_awgn_exact(8, tables[1], an.db_to_linear([0.0, 6.0, 12.0])).tolist())
+"""
+
+
+def test_scipy_special_loads_with_the_first_awgn_curve():
+    """Filter design, tables and Rayleigh curves run without scipy.special;
+    the AWGN curve that loads it equals one computed with it preloaded."""
+    import scipy.special  # noqa: F401
+
+    env = {**os.environ, "PYTHONPATH": str(Path(fbmcber.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    loaded, curve = done.stdout.splitlines()
+    assert loaded == "False"
+    table = fbmcber.truncate(fbmcber.build_set(
+        fbmcber.FbmcGrid(16, fbmcber.make_egf(0.25, 4, 16))), 8)
+    warm = fbmcber.fbmc_awgn_exact(8, table, fbmcber.db_to_linear([0.0, 6.0, 12.0]))
+    assert curve == repr(warm.tolist())

@@ -118,6 +118,21 @@ class TestBep:
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "martin-k4"
 
+    def test_fbmc_time_in_milliseconds(self, capsys, tmp_path):
+        """A curve that takes a few milliseconds does not print 0.0s."""
+        base = str(tmp_path / "fbmc")
+        code, _, err = run_cli(
+            capsys, "bep", "--system", "fbmc", "--kmax", "3",
+            "--ebn0", "0,6,12", "--out", base,
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "fbmc.manifest.json").read_text())
+        seconds = manifest["stage_s"]["bep"]
+        printed = err.split(" elements in ")[1].split()
+        assert printed[1:3] == ["ms", "total"]
+        assert float(printed[0]) > 0.0
+        assert float(printed[0]) == float(f"{seconds * 1e3:.3g}")
+
     def test_budget_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "bep", "--system", "fbmc", "--kmax", "8",

@@ -8,7 +8,7 @@ from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber import enumeration
 from fbmcber.enumeration import offset_support, reduce_offsets, support_size
 from fbmcber.errors import ConstellationError, EnumerationBudgetExceeded
-from fbmcber.interference import truncate
+from fbmcber.interference import FbmcGrid, build_set, truncate
 
 
 class TestConstellations:
@@ -120,3 +120,29 @@ class TestGroupedReduction:
                                   0.5 * (1.0 - root))
             expected = math.fsum(weights * kernel.mean(axis=1))
             assert value == pytest.approx(expected, rel=1e-13)
+
+
+class TestOffsetCount:
+    """reduce_offsets divides by order**k, the sum of the multiplicities."""
+
+    @pytest.mark.parametrize("name", ["martin", 0.25, 1.0])
+    def test_acceptance_tables(self, name, martin_top8, egf_filters):
+        table = (martin_top8 if name == "martin"
+                 else truncate(build_set(FbmcGrid(16, egf_filters[name])), 8))
+        _, mults = offset_support(table.eps, 8)
+        assert 8.0 ** len(table.eps) == math.fsum(mults)
+
+    def test_random_grouped_tables(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 200:
+            order = int(rng.choice([2, 4, 8, 16]))
+            counts = rng.integers(1, 8, size=rng.integers(1, 6))
+            k = int(counts.sum())
+            if order**k > 2**53 or math.prod(c * (order - 1) + 1 for c in counts) > 2**16:
+                continue
+            mags = rng.uniform(0.01, 0.5, size=counts.size)
+            eps = np.repeat(mags, counts) * rng.choice([-1.0, 1.0], size=k)
+            _, mults = offset_support(eps, order)
+            assert float(order) ** k == math.fsum(mults)
+            checked += 1

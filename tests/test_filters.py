@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fbmcber import filters
 from fbmcber.errors import DegenerateFilter, UnsupportedFilterOrder, UnsupportedSpreading
 from fbmcber.filters import (
     PrototypeFilter,
     _gauss,
     _orth_cos_coeffs,
+    _periodized,
     load_taps,
     make_egf,
     make_martin,
@@ -44,6 +46,17 @@ def solve_martin_gains_numerically(K):
     if K == 3:
         return {1: h1, 2: math.sqrt(1 - h1 * h1)}
     return {1: h1, 2: 1 / math.sqrt(2), 3: math.sqrt(1 - h1 * h1)}
+
+
+def orth_cos_coeffs_on_grid(n_grid, width, period, tol=1e-18):
+    """Cosine coefficients of 1/sqrt(P) from an n_grid-point FFT, with the
+    trailing ones below tol * max dropped (tol=0 keeps them all)."""
+    u = np.arange(n_grid) * (period / n_grid)
+    spectrum = np.fft.rfft(1.0 / np.sqrt(_periodized(u, width, period))) / n_grid
+    coeffs = spectrum.real.copy()
+    coeffs[1:] *= 2.0
+    mags = np.abs(coeffs)
+    return coeffs[: np.nonzero(mags > tol * mags.max())[0][-1] + 1]
 
 
 class TestMartin:
@@ -122,6 +135,29 @@ class TestEgf:
         ).sum(axis=1)
         full = normalize_energy(PrototypeFilter(z / np.sqrt(p_time), 4, "egf", alpha))
         assert np.array_equal(make_egf(alpha, 4, m).coeffs, full.coeffs)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    def test_orth_coeffs_match_fine_grid(self, alpha):
+        """The 512-point series agrees with a 16384-point one, and the
+        harmonics it leaves out are at the rounding floor."""
+        lat = 1.0 / math.sqrt(2.0)
+        d = _orth_cos_coeffs(1.0 / alpha, lat)
+        fine = orth_cos_coeffs_on_grid(16384, 1.0 / alpha, lat, tol=0.0)
+        assert np.max(np.abs(d - fine[: d.size])) <= 2e-16
+        assert np.max(np.abs(fine[d.size:])) <= 2e-16
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_taps_match_8192_point_design(self, alpha, m, extra, monkeypatch):
+        length = 4 * m + extra
+        taps = make_egf(alpha, 4, m, length=length).coeffs
+        monkeypatch.setattr(
+            filters, "_orth_cos_coeffs",
+            lambda width, period: orth_cos_coeffs_on_grid(8192, width, period),
+        )
+        reference = make_egf(alpha, 4, m, length=length).coeffs
+        assert np.max(np.abs(taps - reference)) <= 1e-17
 
     @pytest.mark.parametrize("alpha", [0.1, 2.5, 10.0])
     def test_unsupported_spreading(self, alpha):
