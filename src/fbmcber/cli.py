@@ -151,6 +151,8 @@ def _out_paths(args, suffix: str):
 # Subcommands
 
 def cmd_filter_info(args) -> int:
+    if args.decay < 0:
+        raise ValueError(f"--decay must be >= 0, got {args.decay}")
     stages = {}
     filt = _timed(stages, "filter_design", _build_filter, args)
     table = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))

@@ -132,12 +132,20 @@ class PulseBank:
     where fold[r][m] = chi[m, r] * q[m].  The phase of fold[r][m, j] has
     period M in j, so fold[r][m, j] = p[j] * period[r][m, j mod M]:
 
-    period: the (2, M, 2M) float64 view of the two complex M x M root-of-
+    period: the (2, M, 2M) float64 form of the two complex M x M root-of-
         unity matrices; row m of period[r] interleaves the real and
         imaginary parts, so a real row vector times period[r] is a real
         combination of the complex rows.
     chunks: the (C, 2M) taps p[q*M + i], C = ceil(L_p / M), each repeated
         for the real and the imaginary part and zero past L_p.
+
+    period is a transposed view of the row-major (2, 2M, M) array that the
+    analysis multiplies by.  OpenBLAS rounds a row's product with a
+    transposed operand differently by the number of rows in the product,
+    and with a row-major one only in products of a few rows; so the window
+    of a frame that the simulator analyzes gives the frame's counted
+    statistics bit for bit.  Synthesis needs no such invariance: a window
+    synthesizes from the same product rows as its whole frame.
     """
 
     def __init__(self, grid: FbmcGrid):
@@ -150,11 +158,13 @@ class PulseBank:
         m = np.arange(m_sub)[:, None]
         j = np.arange(m_sub)[None, :]
         roots = np.exp(1j * np.pi / m_sub * np.arange(2 * m_sub))
-        period = np.empty((2, m_sub, m_sub), dtype=np.complex128)
+        self._adjoint = np.empty((2, 2 * m_sub, m_sub))
         for r in (0, 1):
             k = 2 * m * j - m * (lp - 1) + (2 * m * r + m + r) * (m_sub // 2)
-            period[r] = roots[k % (2 * m_sub)]
-        self.period = period.view(np.float64)
+            period_r = roots[k % (2 * m_sub)]
+            self._adjoint[r, 0::2] = period_r.real.T
+            self._adjoint[r, 1::2] = period_r.imag.T
+        self.period = self._adjoint.transpose(0, 2, 1)
         padded = np.zeros(-(-lp // m_sub) * m_sub)
         padded[:lp] = taps
         self.chunks = np.repeat(padded, 2).reshape(-1, 2 * m_sub)
@@ -179,11 +189,13 @@ def fbmc_signal_length(grid: FbmcGrid, n_symbols: int) -> int:
     return (n_symbols - 1) * grid.half_symbol + grid.filter.length
 
 
-def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
+def fbmc_synthesize(symbols, bank: PulseBank, start: int = 0,
+                    stop: int | None = None) -> np.ndarray:
     """Superpose all pulses of bank.grid: s[b] = sum_{m,n} a[b,m,n] p[m,n].
 
     symbols are a real (B, M, N) batch of frames; the result is the
-    complex (B, L) batch of their signals.
+    complex (B, stop - start) batch of their signals' samples [start,
+    stop), by default the whole signal of fbmc_signal_length(grid, N).
     """
     a = np.asarray(symbols)
     grid = bank.grid
@@ -193,16 +205,22 @@ def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
     n_symbols = a.shape[2]
     if n_symbols < 1:
         raise RangeError("a frame needs at least one symbol column")
+    length = fbmc_signal_length(grid, n_symbols)
+    stop = length if stop is None else stop
+    if not 0 <= start <= stop <= length:
+        raise RangeError(f"sample range [{start}, {stop}) is not within "
+                         f"the signal's [0, {length})")
     signs = bank.signs(n_symbols)
     m_sub, frames = grid.subcarriers, a.shape[0]
     n_chunks, width = bank.chunks.shape
     # Column n starts at float n*M of the (re, im) view and chunk q of its
     # pulse 2q*M floats later.  Columns of one parity sit width = 2M floats
     # apart, so a chunk's terms for all of them are one contiguous run; the
-    # chunks, tiled over the columns, scale a run in one pass.  The last
-    # chunk's zero taps past L_p get room past the end of the signal.
+    # chunks, tiled over the columns, scale a run in one pass.  Each run is
+    # clipped to the floats [first, last) of the sample range.
     tiled = np.tile(bank.chunks, (n_symbols + 1) // 2)
-    signal = np.zeros((frames, (n_symbols + 2 * n_chunks - 1) * m_sub))
+    first, last = 2 * start, 2 * stop
+    signal = np.zeros((frames, last - first))
     for r in (0, 1):
         cols = a[:, :, r::2].transpose(0, 2, 1)
         rows = np.empty(cols.shape)
@@ -212,10 +230,14 @@ def fbmc_synthesize(symbols, bank: PulseBank) -> np.ndarray:
         prod = prod.reshape(frames, run)
         term = np.empty_like(prod)
         for q in range(n_chunks):
-            lo = (r + 2 * q) * m_sub
-            np.multiply(prod, tiled[q, :run], out=term)
-            signal[:, lo : lo + run] += term
-    return signal.view(np.complex128)[:, : fbmc_signal_length(grid, n_symbols)]
+            at = (r + 2 * q) * m_sub
+            lo, hi = max(at, first) - at, min(at + run, last) - at
+            if lo >= hi:
+                continue
+            part = term[:, : hi - lo]
+            np.multiply(prod[:, lo:hi], tiled[q, lo:hi], out=part)
+            signal[:, at + lo - first : at + hi - first] += part
+    return signal.view(np.complex128)
 
 
 def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
@@ -248,7 +270,7 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     out = np.empty((frames, m_sub, n_symbols))
     for r in (0, 1):
         rows = np.ascontiguousarray(acc[:, r::2])
-        stats = _rows_product(rows.reshape(-1, width), bank.period[r].T)
+        stats = _rows_product(rows.reshape(-1, width), bank._adjoint[r])
         stats = stats.reshape(rows.shape[:2] + (m_sub,)).transpose(0, 2, 1)
         np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out

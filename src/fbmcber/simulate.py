@@ -12,7 +12,9 @@ the fades (Rayleigh only) of all its frames.  It then runs in blocks of
 whole frames, small enough to stay near the cache: a block of any system
 holds at most _BLOCK_REALS noise reals.  Each block draws its noise as
 one interleaved standard_normal array (complex for OFDM and FBMC), then
-maps, passes the channel (and the FBMC modem), demaps and counts.
+maps, passes the channel (and the FBMC modem), demaps and counts.  FBMC
+counts the columns 2K .. N-2K only, so it synthesizes, draws noise for
+and analyzes only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -243,8 +245,9 @@ def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
 # FBMC modem), demaps and counts.
 
 # Noise reals per block (256 KB) of every system: 2**14 and 2**17 were
-# slower for PAM and OFDM.  An FBMC frame's noise is its whole complex
-# signal, so a block holds 37 frames at M=16 and 2 at M=256 (N=48).
+# slower for PAM and OFDM.  An FBMC frame's noise covers the samples its
+# counted columns read, so a block holds 52 frames at M=16 and 2 at M=256
+# (N=48, K=4).
 _BLOCK_REALS = 2**15
 
 
@@ -402,17 +405,23 @@ class FbmcSystem:
         bits = bits.reshape(frames, m, nsym, -1)
         h = _fades(rng, channel, (frames,))
         lo, hi = self.edge_columns, nsym - self.edge_columns
+        # The counted columns lo..hi-1 read the samples [start, start +
+        # width) only.  Column lo + n has column n's slot phase times
+        # (-1)**K (lo = 2K), so the window's statistics change sign for
+        # odd K.
+        start = lo * self.grid.half_symbol
+        width = fbmc_signal_length(self.grid, hi - lo)
+        flip = self.grid.filter.overlap % 2
         errors = np.empty(frames, dtype=np.intp)
-        reals = 2 * fbmc_signal_length(self.grid, nsym)
-        for sl in _frame_slices(frames, reals, _BLOCK_REALS):
+        for sl in _frame_slices(frames, 2 * width, _BLOCK_REALS):
             a = pam_map(bits[sl], pam).reshape(-1, m, nsym)
-            s = fbmc_synthesize(a, self.bank)
-            x = _noise(rng, n0, s.shape, np.complex128,
+            x = _noise(rng, n0, (len(a), width), np.complex128,
                        None if h is None else h[sl])
-            x += s
-            stats = fbmc_analyze_frame(x, self.bank, nsym)
-            decided = pam_demap(stats[:, :, lo:hi].ravel(), pam)
-            errors[sl] = _frame_errors(bits[sl, :, lo:hi], decided)
+            x += fbmc_synthesize(a, self.bank, start, start + width)
+            stats = fbmc_analyze_frame(x, self.bank, hi - lo)
+            if flip:
+                np.negative(stats, out=stats)
+            errors[sl] = _frame_errors(bits[sl, :, lo:hi], pam_demap(stats, pam))
         return errors
 
 
@@ -454,9 +463,11 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
                 continue
             reason = "min_errors"
             if stop.target_rel_se is not None and errors:
+                # a frame-replicate SE needs two frames or more
                 per_frame = np.concatenate(frame_errors)
-                se = per_frame.std(ddof=1) / math.sqrt(per_frame.size)
-                if se > stop.target_rel_se * per_frame.mean():
+                if per_frame.size < 2 or (
+                        per_frame.std(ddof=1) / math.sqrt(per_frame.size)
+                        > stop.target_rel_se * per_frame.mean()):
                     continue
                 reason = "target_rel_se"
             break

@@ -54,13 +54,13 @@ def random_symmetric_filter(rng, m, k=3):
 def frame_blocks(system, frames):
     """The blocks of whole frames that system.simulate_frames runs a batch
     of `frames` in: at most simulate._BLOCK_REALS noise reals each, the
-    noise of a frame being its PAM symbols, its complex OFDM symbols or its
-    complex FBMC signal."""
+    noise of a frame being its PAM symbols, its complex OFDM symbols or the
+    complex samples that its counted FBMC columns read."""
     from fbmcber import simulate
     from fbmcber.modem import fbmc_signal_length
 
     if isinstance(system, simulate.FbmcSystem):
-        reals = 2 * fbmc_signal_length(system.grid, system.frame_symbols)
+        reals = 2 * fbmc_signal_length(system.grid, system.data_columns)
     else:
         reals = system.frame_symbols
         if isinstance(system, simulate.OfdmSystem):

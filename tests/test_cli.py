@@ -76,6 +76,16 @@ class TestFilterInfo:
         assert code == USAGE_ERROR
         assert "error" in err
 
+    def test_decay_counts_magnitudes(self, capsys):
+        """--decay prints that many magnitudes; a negative count is a usage
+        error, not a slice from the end."""
+        code, out, _ = run_cli(capsys, "filter-info", "--decay", "3")
+        assert code == 0
+        assert out.split("largest |eps|:\n")[1].count("\n") == 3
+        code, out, err = run_cli(capsys, "filter-info", "--decay", "-2")
+        assert code == USAGE_ERROR
+        assert out == "" and "--decay must be >= 0, got -2" in err
+
     def test_third_party_taps_analysis(self, capsys, tmp_path):
         from fbmcber.filters import make_martin, save_taps
 

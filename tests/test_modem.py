@@ -5,7 +5,7 @@ from conftest import table_eps
 from fbmcber import modem
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
-from fbmcber.filters import make_egf
+from fbmcber.filters import make_egf, make_martin
 from fbmcber.interference import FbmcGrid, pulse
 from fbmcber.modem import (
     PulseBank,
@@ -230,6 +230,10 @@ class TestFbmcChain:
         for empty in (np.zeros((1, 16, 0)), np.zeros((3, 16, 0))):
             with pytest.raises(RangeError):
                 fbmc_synthesize(empty, martin_bank)
+        # a sample range past either end of the signal, or reversed
+        for start, stop in ((-1, 4), (5, 4), (0, signal.shape[1] + 1)):
+            with pytest.raises(RangeError):
+                fbmc_synthesize(np.zeros((1, 16, 4)), martin_bank, start, stop)
 
 
 class TestFbmcOracles:
@@ -293,7 +297,7 @@ class TestFbmcOracles:
         signs = egf_bank.signs(n_cols)
         assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
         taps = egf_grid.filter.coeffs
-        period = egf_bank.period.view(np.complex128)
+        period = np.ascontiguousarray(egf_bank.period).view(np.complex128)
         assert period.shape == (2, m_sub, m_sub)
         chunks = egf_bank.chunks
         assert chunks.shape == (-(-taps.size // m_sub), 2 * m_sub)
@@ -340,6 +344,65 @@ class TestFbmcOracles:
             single = fbmc_analyze_frame(x[b : b + 1], martin_bank, n_cols)
             worst = max(worst, np.max(np.abs(stats[b : b + 1] - single)))
         assert worst < 1e-14
+
+
+class TestFbmcWindow:
+    """The counted columns 2K .. N-2K of a frame through the samples they
+    read, [K*M, K*M + W) with W = fbmc_signal_length(grid, N - 4K): the
+    window FbmcSystem synthesizes, draws noise for and analyzes."""
+
+    @pytest.fixture(scope="class", params=[
+        (16, lambda: make_martin(4, 16)),
+        (16, lambda: make_martin(3, 16)),
+        (64, lambda: make_egf(1.0, 4, 64, length=4 * 64 - 1)),
+        (64, lambda: make_egf(1.0, 4, 64, length=4 * 64)),
+        (64, lambda: make_egf(1.0, 4, 64, length=4 * 64 + 1)),
+    ], ids=["martin-K4", "martin-K3", "egf-KM-1", "egf-KM", "egf-KM+1"])
+    def bank(self, request):
+        m_sub, design = request.param
+        return PulseBank(FbmcGrid(m_sub, design()))
+
+    @staticmethod
+    def frame(bank, frames=5, seed=31):
+        """Symbols, full signal plus noise, the counted columns and the
+        samples they read."""
+        grid, k = bank.grid, bank.grid.filter.overlap
+        n_cols = 4 * k + 6
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(frames, grid.subcarriers, n_cols))
+        signal = fbmc_synthesize(a, bank)
+        x = signal + rng.normal(size=signal.shape) + 1j * rng.normal(size=signal.shape)
+        start = 2 * k * grid.half_symbol
+        window = slice(start, start + fbmc_signal_length(grid, n_cols - 4 * k))
+        return a, x, slice(2 * k, n_cols - 2 * k), window
+
+    def test_synthesis_range_is_the_sliced_signal(self, bank):
+        a, _, _, window = self.frame(bank)
+        full = fbmc_synthesize(a, bank)
+        length = full.shape[1]
+        for lo, hi in ((window.start, window.stop), (0, window.stop),
+                       (window.start, length), (1, 2), (7, 7), (0, length)):
+            part = fbmc_synthesize(a, bank, lo, hi)
+            assert part.shape == (a.shape[0], hi - lo)
+            assert np.array_equal(part, full[:, lo:hi])
+
+    def test_window_analysis_is_the_counted_columns(self, bank):
+        """Column 2K + n has column n's slot phase times (-1)**K."""
+        a, x, counted, window = self.frame(bank)
+        n_cols = a.shape[2]
+        stats = fbmc_analyze_frame(x[:, window], bank, counted.stop - counted.start)
+        if bank.grid.filter.overlap % 2:
+            stats = -stats
+        assert np.array_equal(stats, fbmc_analyze_frame(x, bank, n_cols)[:, :, counted])
+
+    def test_noise_outside_the_window_moves_no_counted_statistic(self, bank):
+        a, x, counted, window = self.frame(bank)
+        n_cols = a.shape[2]
+        other = np.random.default_rng(32).normal(size=(2,) + x.shape) * 1e3
+        y = other[0] + 1j * other[1]
+        y[:, window] = x[:, window]
+        assert np.array_equal(fbmc_analyze_frame(x, bank, n_cols)[:, :, counted],
+                              fbmc_analyze_frame(y, bank, n_cols)[:, :, counted])
 
 
 class TestOfdmChain:

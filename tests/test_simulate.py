@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,12 +40,14 @@ RAYLEIGH = ChannelModel("rayleigh")
 def _whole_batch(system, channel, gamma_b, frames, rng):
     """Per-frame bit errors of a batch drawn whole, in the documented
     order: the bits, the fades (held for the coherence), then one
-    standard_normal draw for all the noise."""
+    standard_normal draw for all the noise.  FBMC noise covers the samples
+    that the counted columns read; the reference synthesizes and analyzes
+    whole frames and adds the noise to that window of them."""
     if isinstance(system, FbmcSystem):
         m, nsym, lo = system.grid.subcarriers, system.frame_symbols, system.edge_columns
         n_bits = frames * m * nsym * system.constellation.bits_per_symbol
         fade_shape = (frames,)
-        noise_shape = (frames, fbmc_signal_length(system.grid, nsym))
+        noise_shape = (frames, fbmc_signal_length(system.grid, nsym - 2 * lo))
     elif isinstance(system, OfdmSystem):
         n_bits = frames * system.frame_bits
         fade_shape = noise_shape = (frames, system.subcarriers, system.frame_symbols)
@@ -82,8 +85,10 @@ def _whole_batch(system, channel, gamma_b, frames, rng):
         pam = system.constellation
         z = z.reshape(frames, -1)
         z *= sigma if amp is None else (sigma / amp)[:, None]
-        s = fbmc_synthesize(pam_map(bits, pam).reshape(frames, m, nsym), system.bank)
-        stats_ = fbmc_analyze_frame(z.view(np.complex128) + s, system.bank, nsym)
+        x = fbmc_synthesize(pam_map(bits, pam).reshape(frames, m, nsym), system.bank)
+        start = lo * system.grid.half_symbol
+        x[:, start : start + noise_shape[1]] += z.view(np.complex128)
+        stats_ = fbmc_analyze_frame(x, system.bank, nsym)
         decided = pam_demap(stats_[:, :, lo:nsym - lo].ravel(), pam)
         sent = bits.reshape(frames, m, nsym, -1)[:, :, lo:nsym - lo]
     wrong = sent.reshape(frames, -1) != decided.reshape(frames, -1)
@@ -200,13 +205,14 @@ class TestChannel:
         (PamSystem(4, frame_symbols=5000), 19, ChannelModel("rayleigh", 7)),
         (OfdmSystem(16, 16, 2, frame_symbols=4), 601, AWGN),
         (OfdmSystem(16, 16, 2, frame_symbols=4), 601, ChannelModel("rayleigh", 3)),
-        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 89, AWGN),
-        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 89,
+        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 106, AWGN),
+        (FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))), 106,
          ChannelModel("rayleigh", 7)),
+        (FbmcSystem(8, FbmcGrid(16, make_martin(3, 16))), 106, AWGN),
         (FbmcSystem(8, FbmcGrid(256, make_egf(1.0, 4, 256))), 89,
          ChannelModel("rayleigh", 7)),
     ], ids=["pam-awgn", "pam-rayleigh", "ofdm-awgn", "ofdm-rayleigh",
-            "fbmc-martin16-awgn", "fbmc-martin16-rayleigh",
+            "fbmc-martin16-awgn", "fbmc-martin16-rayleigh", "fbmc-martin16-k3-awgn",
             "fbmc-egf1-256-rayleigh"])
     def test_blocks_continue_one_draw(self, system, frames, channel):
         """A batch of three or more blocks, the last one short, counts what
@@ -234,7 +240,8 @@ class TestChannel:
     # OFDM's zero-forcing round trip is in test_modem.TestOfdmChain.
     @pytest.mark.parametrize("system", [
         PamSystem(8), FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))),
-    ], ids=["pam", "fbmc"])
+        FbmcSystem(8, FbmcGrid(16, make_martin(3, 16))),
+    ], ids=["pam", "fbmc", "fbmc-k3"])
     def test_zero_forcing_round_trip(self, system):
         res = run_ber(system, RAYLEIGH, [120.0], StopRule(1, 100_000), seed=3)
         assert res.points[0].errors == 0
@@ -253,6 +260,18 @@ class TestChannel:
                     {"target_rel_se": math.nan}, {"target_rel_se": math.inf}):
             with pytest.raises(ValueError):
                 StopRule(**bad)
+
+    def test_target_rel_se_needs_two_frames(self):
+        """A first batch of one frame has no frame-replicate SE, so the rule
+        waits for the second frame (and std(ddof=1) warns of nothing)."""
+        system = PamSystem(8, frame_symbols=100_000)
+        assert simulate._batch_frames(0, system.frame_bits) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_ber(system, AWGN, [4.0],
+                          StopRule(1, 10**8, target_rel_se=0.1), seed=1)
+        point = res.points[0]
+        assert (point.frames, point.batches, point.stop) == (2, 2, "target_rel_se")
 
     def test_ofdm_system_limits(self):
         OfdmSystem(16, 1, 0)

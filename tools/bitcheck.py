@@ -10,7 +10,8 @@ OUT_DIR/new:
   counts.jsonl
             one line per run_ber call of acceptance criteria C5-C8
             (test, seed, config, and each point's bits, errors, frames,
-            batches, stop reason and se_block).
+            batches, stop reason and se_block) and one per z_scores
+            call (test, seed, config, and each point's BEP and z).
 
 Then it runs ``diff -r`` on the two directories and exits with its
 status: 0 when every output is identical.  A tree is a checkout root,
@@ -50,27 +51,37 @@ def dump_bench(tree: Path, out: Path) -> int:
 
 
 def dump_counts(tree: Path, out: Path) -> int:
-    """Run C5-C8 with run_ber recording its results; returns the pytest status."""
+    """Run C5-C8 with run_ber and z_scores recording their results; returns
+    the pytest status."""
     import pytest
 
     sys.path.insert(0, str(tree / "src"))
     from fbmcber import simulate
 
-    real = simulate.run_ber
+    real_run, real_z = simulate.run_ber, simulate.z_scores
     lines = []
 
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
+    def record(result, **fields):
         lines.append(json.dumps({
             "test": os.environ.get("PYTEST_CURRENT_TEST", "").split(" ")[0],
             "seed": result.seed,
             "config": result.config,
-            "points": [[p.ebn0_db, p.bits, p.errors, p.frames, p.batches,
-                        p.stop, repr(p.se_block)] for p in result.points],
+            **fields,
         }, default=str))
+
+    def run_ber(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        record(result, points=[[p.ebn0_db, p.bits, p.errors, p.frames, p.batches,
+                                p.stop, repr(p.se_block)] for p in result.points])
         return result
 
-    simulate.run_ber = recording
+    def z_scores(result, probs):
+        zs = real_z(result, probs)
+        record(result, z=[[p.ebn0_db, repr(float(bep)), repr(float(z))]
+                          for p, bep, z in zip(result.points, probs, zs)])
+        return zs
+
+    simulate.run_ber, simulate.z_scores = run_ber, z_scores
     status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(tree),
                           "-k", ACCEPTANCE, str(tree / "tests" / "test_acceptance.py")])
     (out / "counts.jsonl").write_text("\n".join(lines) + "\n")
