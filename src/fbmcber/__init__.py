@@ -22,7 +22,6 @@ from .analytic import (
     pam_awgn_exact,
     pam_rayleigh_approx,
     pam_rayleigh_exact,
-    q_function,
 )
 from .constellations import PamConstellation, QamConstellation
 from .enumeration import offset_support
@@ -53,7 +52,6 @@ from .interference import (
     build_set,
     export_table_csv,
     ordered_magnitudes,
-    pulse,
     set_size,
     sir,
     truncate,

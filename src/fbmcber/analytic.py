@@ -17,7 +17,6 @@ scale throughout; dB conversion happens at the CLI boundary.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .constellations import PamConstellation, QamConstellation
 from .errors import ConstellationError
 
 __all__ = [
-    "q_function",
     "cho_weight",
     "cho_weights",
     "collapsed_cho_weights",
@@ -51,13 +49,6 @@ log = logging.getLogger(__name__)
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
-
-
-def q_function(x):
-    """Standard normal tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
-    from scipy.special import erfc  # loaded on first use, as in enumeration
-
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 
 def cho_weight(i: int, k: int, order: int) -> int:

@@ -187,29 +187,19 @@ def _analytic_curve(args, ebn0_db, filt, stages):
     what = (args.system, args.channel, args.form)
     filt_label, kmax, n_cp = "", None, None
     sizes = {"offsets_per_point": None, "support_points": None}
+    if args.system == "ofdm" and args.form != "exact":
+        raise ValueError("OFDM curves implement the exact form only")
+    # pam_ or fbmc_<channel>_<form>, or ofdm_<channel>, read off the module
+    # at each call so that a wrapper set on it (a trace) is what runs.
+    fn = getattr(analytic, "_".join(what[:2] if args.system == "ofdm" else what))
     if args.system == "pam":
-        fn = {
-            ("awgn", "approx"): analytic.pam_awgn_approx,
-            ("awgn", "exact"): analytic.pam_awgn_exact,
-            ("rayleigh", "approx"): analytic.pam_rayleigh_approx,
-            ("rayleigh", "exact"): analytic.pam_rayleigh_exact,
-        }[(args.channel, args.form)]
         probs = _timed(stages, "bep", fn, args.np, gammas)
     elif args.system == "ofdm":
-        if args.form != "exact":
-            raise ValueError("OFDM curves implement the exact form only")
-        fn = analytic.ofdm_awgn if args.channel == "awgn" else analytic.ofdm_rayleigh
         probs = _timed(stages, "bep", fn, args.nq, args.m, args.ncp, gammas)
         n_cp = args.ncp
     else:
         full = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
         table = truncate(full, args.kmax)
-        fn = {
-            ("awgn", "approx"): analytic.fbmc_awgn_approx,
-            ("awgn", "exact"): analytic.fbmc_awgn_exact,
-            ("rayleigh", "approx"): analytic.fbmc_rayleigh_approx,
-            ("rayleigh", "exact"): analytic.fbmc_rayleigh_exact,
-        }[(args.channel, args.form)]
         probs = _timed(stages, "bep", fn, args.np, table, gammas,
                        budget=args.budget)
         sizes = {"offsets_per_point": args.np ** len(table),

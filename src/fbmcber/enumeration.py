@@ -98,6 +98,8 @@ def reduce_offsets(eps, order, scales, thetas, weights, kind,
     bit while order**k <= 2**53, and is the exact count beyond, where
     the float multiplicities themselves round.
     """
+    if kind not in ("awgn", "rayleigh"):
+        raise ValueError(f"unknown channel kind {kind!r}: use 'awgn' or 'rayleigh'")
     values, mults = offset_support(eps, order, budget)
     scales = np.atleast_1d(np.asarray(scales, dtype=np.float64))
     thetas = np.asarray(thetas, dtype=np.float64)

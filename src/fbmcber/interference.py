@@ -25,10 +25,7 @@ from .filters import PrototypeFilter
 
 __all__ = [
     "FbmcGrid",
-    "Pulse",
     "InterferenceTable",
-    "pulse",
-    "inner_product",
     "build_set",
     "set_size",
     "truncate",
@@ -75,42 +72,6 @@ class FbmcGrid:
         K=4, M=16, zero for Martin).
         """
         return -(-(self.filter.length - 1) // self.half_symbol) - 1
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Complex pulse samples with their start index on the global axis."""
-
-    start: int
-    samples: np.ndarray
-
-    def energy(self) -> float:
-        return float(np.vdot(self.samples, self.samples).real)
-
-
-def pulse(grid: FbmcGrid, m: int, n: int) -> Pulse:
-    """Pulse p[m, n]: shifted by n*M/2, modulated to subcarrier m."""
-    if not 0 <= m < grid.subcarriers:
-        raise ValueError(f"subcarrier index {m} outside [0, {grid.subcarriers})")
-    taps = grid.filter.coeffs
-    lp = taps.size
-    start = n * grid.half_symbol
-    k = np.arange(lp) + start
-    kbar = k - (lp - 1) / 2.0
-    phase = 2.0 * np.pi * m * kbar / grid.subcarriers + 0.5 * np.pi * (m + n)
-    return Pulse(start, taps * np.exp(1j * phase))
-
-
-def inner_product(a: Pulse, b: Pulse) -> complex:
-    """<a|b> = sum a[k] conj(b[k]) over the overlapping support."""
-    lo = max(a.start, b.start)
-    hi = min(a.start + a.samples.size, b.start + b.samples.size)
-    if hi <= lo:
-        return 0.0 + 0.0j
-    return complex(
-        np.vdot(b.samples[lo - b.start : hi - b.start],
-                a.samples[lo - a.start : hi - a.start])
-    )
 
 
 def _cosine_sums(grid: FbmcGrid) -> np.ndarray:

@@ -150,10 +150,6 @@ class SimResult:
     def ebn0_db(self) -> np.ndarray:
         return np.array([p.ebn0_db for p in self.points])
 
-    @property
-    def ber(self) -> np.ndarray:
-        return np.array([p.ber for p in self.points])
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("ebn0_db,bits,errors,ber,ci95,se_block\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_filter, table_eps
+from oracles import inner_product, pulse, q_function
 from test_analytic import cho_yoon_reference
 from fbmcber import analytic as an
 from fbmcber.enumeration import offset_support
@@ -19,8 +20,6 @@ from fbmcber.interference import (
     FbmcGrid,
     InterferenceTable,
     build_set,
-    inner_product,
-    pulse,
     set_size,
     sir,
     truncate,
@@ -171,7 +170,7 @@ class TestCriterion4BpskClosedForms:
     def test_awgn_identity(self):
         gammas = an.db_to_linear(FINE_DB)
         diff = np.max(np.abs(
-            an.pam_awgn_exact(2, gammas) - an.q_function(np.sqrt(2 * gammas))
+            an.pam_awgn_exact(2, gammas) - q_function(np.sqrt(2 * gammas))
         ))
         value = an.pam_awgn_exact(2, 10.0)
         report(f"C4 BPSK AWGN: max residual {diff:.2e}; "

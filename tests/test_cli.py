@@ -153,6 +153,39 @@ class TestBep:
         assert "841 support points" in err
         assert "kmax" in err
 
+    @pytest.mark.parametrize("system,channel,form,name", [
+        (system, channel, form, f"{system}_{channel}_{form}")
+        for system in ("pam", "fbmc") for channel in ("awgn", "rayleigh")
+        for form in ("approx", "exact")
+    ] + [("ofdm", channel, "exact", f"ofdm_{channel}")
+         for channel in ("awgn", "rayleigh")])
+    def test_curve_is_the_analytic_function_of_its_name(
+            self, capsys, tmp_path, monkeypatch, system, channel, form, name):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(name)
+            return np.full(2, 0.25)
+
+        monkeypatch.setattr(an, name, fake)
+        code, _, _ = run_cli(capsys, "bep", "--system", system, "--channel",
+                             channel, "--form", form, "--kmax", "2",
+                             "--ebn0", "0,6", "--out", str(tmp_path / "c"))
+        assert code == 0
+        assert calls == [name]
+        rows = (tmp_path / "c.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == [f"{system}-{channel}-{form}"] * 2
+        assert [float(r.split(",")[1]) for r in rows] == [0.25, 0.25]
+
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    def test_ofdm_approx_is_rejected(self, capsys, tmp_path, channel):
+        code, _, err = run_cli(capsys, "bep", "--system", "ofdm", "--channel",
+                               channel, "--form", "approx",
+                               "--out", str(tmp_path / "x"))
+        assert code == USAGE_ERROR
+        assert "OFDM curves implement the exact form only" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSimulate:
     def test_deterministic_output(self, capsys, tmp_path):

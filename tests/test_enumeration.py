@@ -121,6 +121,13 @@ class TestGroupedReduction:
             expected = math.fsum(weights * kernel.mean(axis=1))
             assert value == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["AWGN", "rician", ""])
+    def test_unknown_kind_is_rejected(self, kind):
+        # A budget of one point would fail the support build: the kind is
+        # checked first.
+        with pytest.raises(ValueError, match=f"kind {kind!r}"):
+            reduce_offsets([1.0], 2, [1.0], [1.0], [1.0], kind, budget=1)
+
 
 class TestOffsetCount:
     """reduce_offsets divides by order**k, the sum of the multiplicities."""

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symmetric_filter, table_eps
+from oracles import inner_product, pulse
 from fbmcber.filters import make_egf, make_martin, make_rect
 from fbmcber.interference import (
     NULL_THRESHOLD,
     FbmcGrid,
     build_set,
     export_table_csv,
-    inner_product,
     ordered_magnitudes,
-    pulse,
     set_size,
     sir,
     truncate,
@@ -191,6 +192,33 @@ class TestEpsilon:
     def test_pulse_subcarrier_range(self, martin_grid):
         with pytest.raises(ValueError):
             pulse(martin_grid, 16, 0)
+
+
+@st.composite
+def grids(draw):
+    """Rect (K 1-6), Martin (K 3, 4) or EGF (alpha 0.25, 1, 2; K 3-6; each
+    allowed length) on an even M from 2 to 32."""
+    m_sub = 2 * draw(st.integers(1, 16))
+    family = draw(st.sampled_from(["rect", "martin", "egf"]))
+    if family == "rect":
+        filt = make_rect(m_sub, draw(st.integers(1, 6)))
+    elif family == "martin":
+        filt = make_martin(draw(st.sampled_from([3, 4])), m_sub)
+    else:
+        k = draw(st.integers(3, 6))
+        filt = make_egf(draw(st.sampled_from([0.25, 1.0, 2.0])), k, m_sub,
+                        k * m_sub + draw(st.integers(-1, 1)))
+    return FbmcGrid(m_sub, filt)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grids())
+def test_build_set_matches_pulse_oracle(grid):
+    table = build_set(grid)
+    ref = pulse(grid, 0, 0)
+    for m, n, eps in zip(table.m, table.n, table.eps):
+        direct = inner_product(pulse(grid, int(m), int(n)), ref).real
+        assert abs(direct - eps) < 1e-12
 
 
 class TestSymmetryProperties:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import table_eps
+from oracles import pulse
 from fbmcber import modem
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
 from fbmcber.filters import make_egf, make_martin
-from fbmcber.interference import FbmcGrid, pulse
+from fbmcber.interference import FbmcGrid
 from fbmcber.modem import (
     PulseBank,
     fbmc_analyze_frame,
