@@ -59,6 +59,7 @@ from .interference import (
 from .modem import (
     fbmc_analyze_frame,
     fbmc_synthesize,
+    pam_codewords,
     pam_demap,
     pam_map,
     qam_demap,

@@ -7,13 +7,16 @@ with a `PulseBank`'s M x M root-of-unity matrix, and one multiply-add per
 chunk of M prototype taps.  Real PAM amplitudes in, real decision
 statistics Re<x|p[m,n]> out.  The cyclic-prefix OFDM chain is part of
 `simulate.OfdmSystem`.
-Bit groups are LSB-first; the Gray codeword of ascending level index i
-is i ^ (i >> 1), identical for PAM and each QAM dimension.
+The mapping works on Gray codewords: `pam_codewords` packs LSB-first
+groups of N_b bits into codewords, `pam_map` gives the level of each
+codeword and `pam_demap` the codeword of the nearest level, so the bit
+errors of a decision are the Hamming distance between the sent and the
+decided codeword.  The Gray codeword of ascending level index i is
+i ^ (i >> 1), identical for PAM and each QAM dimension; a QAM symbol is
+an interleaved (in-phase, quadrature) pair of codewords.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import RangeError, ShapeError
 from .interference import FbmcGrid
 
 __all__ = [
+    "pam_codewords",
     "pam_map",
     "pam_demap",
     "qam_map",
@@ -33,20 +37,16 @@ __all__ = [
 ]
 
 
-def _bits_matrix(bits, bits_per_symbol: int) -> np.ndarray:
+def pam_codewords(bits, pam: PamConstellation) -> np.ndarray:
+    """Codewords of the LSB-first groups of N_b bits, in the narrowest
+    unsigned type that holds them (uint8 up to 256-PAM)."""
     bits = np.asarray(bits)
-    if bits.size % bits_per_symbol:
+    if bits.size % pam.bits_per_symbol:
         raise ShapeError(
-            f"bit count {bits.size} not divisible by {bits_per_symbol}"
+            f"bit count {bits.size} not divisible by {pam.bits_per_symbol}"
         )
-    return bits.reshape(-1, bits_per_symbol)
-
-
-def pam_map(bits, pam: PamConstellation) -> np.ndarray:
-    """Gray-coded PAM levels from bits (LSB-first groups of N_b)."""
-    groups = _bits_matrix(bits, pam.bits_per_symbol)
-    # 0/1 bits as bytes; codewords in the narrowest unsigned type that holds
-    # them (uint8 up to 256-PAM), so no index-sized temporaries
+    groups = bits.reshape(-1, pam.bits_per_symbol)
+    # 0/1 bits as bytes, so no index-sized temporaries
     if groups.dtype.itemsize == 1:
         groups = groups.view(np.uint8)
     else:
@@ -56,11 +56,35 @@ def pam_map(bits, pam: PamConstellation) -> np.ndarray:
     for b in range(1, pam.bits_per_symbol):
         np.left_shift(groups[:, b], b, out=shifted, dtype=codes.dtype)
         codes |= shifted
-    return np.take(_gray_tables(pam)[0], codes)
+    return codes
+
+
+def pam_map(codewords, pam: PamConstellation) -> np.ndarray:
+    """Gray-coded PAM levels of codewords (as from pam_codewords).
+
+    The level index of codeword g is the prefix XOR g ^ (g >> 1) ^
+    (g >> 2) ^ ..., taken in log2(N_b) shift steps.
+    """
+    codewords = np.asarray(codewords)
+    if codewords.dtype.kind not in "ui" or codewords.size and not (
+            0 <= codewords.min() and codewords.max() < pam.order):
+        raise RangeError(f"codewords of {pam.order}-PAM must be integers "
+                         f"in [0, {pam.order})")
+    index = codewords.astype(_code_type(pam)).ravel()
+    shifted = np.empty_like(index)
+    step = 1
+    while step < pam.bits_per_symbol:
+        np.right_shift(index, step, out=shifted)
+        index ^= shifted
+        step *= 2
+    levels = np.multiply(index, 2.0)
+    levels -= pam.order - 1
+    return levels
 
 
 def pam_demap(values, pam: PamConstellation) -> np.ndarray:
-    """Minimum-distance slicing then Gray decode, LSB-first int8 bits.
+    """Gray codeword of the nearest level to each value (minimum-distance
+    slicing), in pam_codewords' type.
 
     +-inf decide the end levels; NaN raises ValueError.
     """
@@ -72,8 +96,9 @@ def pam_demap(values, pam: PamConstellation) -> np.ndarray:
     # max propagates NaN, which no clip or integer cast may turn into a level
     if level.size and np.isnan(level.max()):
         raise ValueError("pam_demap: NaN value has no nearest level")
-    return np.take(_gray_tables(pam)[1], level.astype(_code_type(pam)),
-                   axis=0).ravel()
+    codes = level.astype(_code_type(pam))
+    codes ^= codes >> 1
+    return codes
 
 
 def _code_type(pam: PamConstellation) -> np.dtype:
@@ -81,25 +106,20 @@ def _code_type(pam: PamConstellation) -> np.dtype:
     return np.min_scalar_type(pam.order - 1)
 
 
-@functools.cache
-def _gray_tables(pam: PamConstellation) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only lookup tables of pam: the level of each codeword (argsort
-    of the Gray codes is their inverse), and the LSB-first int8 bits of
-    each level."""
-    codes = pam.gray_codes
-    level_of_code = pam.levels[np.argsort(codes)]
-    bit_table = ((codes[:, None] >> np.arange(pam.bits_per_symbol)) & 1).astype(np.int8)
-    level_of_code.flags.writeable = bit_table.flags.writeable = False
-    return level_of_code, bit_table
-
-
-def qam_map(bits, qam: QamConstellation) -> np.ndarray:
-    """Square QAM symbols; first N_b bits map in-phase, next N_b quadrature."""
-    _bits_matrix(bits, qam.bits_per_symbol)
-    return pam_map(bits, qam.pam).view(np.complex128)
+def qam_map(codewords, qam: QamConstellation) -> np.ndarray:
+    """Square QAM symbols of interleaved in-phase and quadrature PAM
+    codewords; pam_codewords(bits, qam.pam) maps each symbol's first N_b
+    bits in-phase and the next N_b quadrature."""
+    codewords = np.asarray(codewords)
+    if codewords.size % 2:
+        raise ShapeError(f"codeword count {codewords.size} is odd: QAM "
+                         f"needs an in-phase and a quadrature codeword")
+    return pam_map(codewords, qam.pam).view(np.complex128)
 
 
 def qam_demap(values, qam: QamConstellation) -> np.ndarray:
+    """Interleaved in-phase and quadrature codewords of the nearest
+    symbols."""
     values = np.ascontiguousarray(values, dtype=np.complex128)
     return pam_demap(values.view(np.float64), qam.pam)
 

@@ -8,13 +8,19 @@ circular, n/h is distributed as n/|h|: the fade phase moves no count,
 so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
 per subcarrier and OFDM symbol (OFDM) or per frame (FBMC), each held
 for `coherence` such units.  A batch draws, in this order, the bits and
-the fades (Rayleigh only) of all its frames.  It then runs in blocks of
-whole frames, small enough to stay near the cache: a block of any system
-holds at most _BLOCK_REALS noise reals.  Each block draws its noise as
-one interleaved standard_normal array (complex for OFDM and FBMC), then
-maps, passes the channel (and the FBMC modem), demaps and counts.  FBMC
-counts the columns 2K .. N-2K only, so it synthesizes, draws noise for
-and analyzes only the samples those columns read.
+the fades (Rayleigh only) of all its frames, on the calling thread.  It
+then runs in blocks of whole frames, small enough to stay near the
+cache: a block of any system holds at most _BLOCK_REALS noise reals.
+Each block packs its bits into Gray codewords, maps, passes the channel
+(and the FBMC modem), adds its noise, demaps to codewords and counts the
+bit errors as the Hamming distances between the sent and the decided
+codewords.  Meanwhile one helper thread draws the noise of the blocks,
+each as one interleaved standard_normal array (complex for OFDM and
+FBMC), in block order and one block ahead of the calling thread; the
+thread is joined before simulate_frames returns.  FBMC banks whose
+products OpenBLAS spreads over all cores draw on the calling thread
+instead.  FBMC counts the columns 2K .. N-2K only, so it synthesizes,
+draws noise for and analyzes only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -24,6 +30,7 @@ so a given seed and configuration reproduce results bit for bit.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,15 +41,19 @@ from .analytic import _ofdm_args
 from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
+    PRODUCT_ROWS,
     PulseBank,
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
+    pam_codewords,
     pam_demap,
     pam_map,
     qam_demap,
     qam_map,
 )
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "ChannelModel",
@@ -207,15 +218,17 @@ def _fades(rng, channel: ChannelModel, shape) -> np.ndarray | None:
     return np.repeat(amp, channel.coherence, axis=-1)[..., :units]
 
 
-def _noise(rng, n0: float, shape, dtype=np.float64, fades=None) -> np.ndarray:
+def _noise(rng, n0: float, shape, dtype=np.float64, fades=None,
+           out=None) -> np.ndarray:
     """Gaussian noise of variance n0/2 per real dimension, one interleaved
     standard_normal draw viewed as dtype (complex noise is circular).
 
     fades, one amplitude per index of the leading fades.ndim axes of
-    shape, gives the zero-forced noise n/|h|.
+    shape, gives the zero-forced noise n/|h|.  out, a float64 array of
+    the draw's size, receives the draw.
     """
     dims = np.dtype(dtype).itemsize // 8
-    z = rng.standard_normal(dims * math.prod(shape))
+    z = rng.standard_normal(dims * math.prod(shape), out=out)
     sigma = math.sqrt(n0 / 2.0)
     if fades is None:
         z *= sigma
@@ -226,19 +239,21 @@ def _noise(rng, n0: float, shape, dtype=np.float64, fades=None) -> np.ndarray:
 
 
 def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
-    """Bit errors per frame; sent is a (frames, ...) block of bits and
-    decided holds the decisions on them in the same order."""
-    frames = sent.shape[0]
-    wrong = sent.reshape(frames, -1) != decided.reshape(frames, -1)
-    return np.count_nonzero(wrong, axis=1)
+    """Bit errors per frame: the Hamming distances between sent, a
+    (frames, ...) block of Gray codewords, and the codewords decided on
+    them in the same order."""
+    wrong = np.bitwise_xor(sent, decided.reshape(sent.shape))
+    wrong = np.bitwise_count(wrong, out=wrong).reshape(len(wrong), -1)
+    return wrong.sum(axis=1, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
 # Systems
 #
-# simulate_frames draws a batch's bits and fades whole, then runs blocks of
-# whole frames: each draws its own noise, maps, passes the channel (and the
-# FBMC modem), demaps and counts.
+# simulate_frames draws a batch's bits and fades whole, then _block_errors
+# runs blocks of whole frames: each packs its bits into Gray codewords, maps,
+# passes the channel (and the FBMC modem), adds its noise, demaps and counts,
+# while a helper thread draws the noise one block ahead.
 
 # Noise reals per block (256 KB) of every system: 2**14 and 2**17 were
 # slower for PAM and OFDM.  An FBMC frame's noise covers the samples its
@@ -254,6 +269,54 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
     most = max(1, budget // max(per_frame, 1))
     step = max(1, -(-frames // max(1, -(-frames // most))))
     return [slice(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
+
+
+def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive,
+                  helper=True):
+    """Bit errors per frame of a batch, run in blocks of whole frames.
+
+    bits holds the frames' bits, (frames, frame_bits).  Per block this
+    thread packs them into pam's codewords, then transmit(sl, codes)
+    gives the noise-free received signal of the frames sl, a
+    (frames, *shape) array of dtype, and receive(sl, codes, y) the bit
+    errors per frame of y, that signal plus its noise (zero-forced by
+    fades[sl] unless fades is None).  With helper, one helper thread
+    draws the noise of the blocks in block order, each while this thread
+    works on the block before; it calls _noise only, which touches rng
+    and an array that this thread allocates (numpy's generator releases
+    the GIL while it draws).  Without, each block draws its noise after
+    its transmit.
+    """
+    # imported on the first batch, not with the package (about 2.5 ms)
+    from concurrent.futures import ThreadPoolExecutor
+
+    def draw(sl, out=None):
+        return _noise(rng, n0, (sl.stop - sl.start, *shape), dtype,
+                      None if fades is None else fades[sl], out)
+
+    def draw_ahead(sl):
+        # Arrays that the helper allocated would stay in a malloc arena of
+        # its own (+1 MiB of peak RSS on the benchmark's bep-top8 workload).
+        out = np.empty(dims * (sl.stop - sl.start) * math.prod(shape))
+        return pool.submit(draw, sl, out)
+
+    frames = len(bits)
+    dims = np.dtype(dtype).itemsize // 8
+    slices = _frame_slices(frames, dims * math.prod(shape), _BLOCK_REALS)
+    errors = np.empty(frames, dtype=np.intp)
+    # One pool per call: a forked child has no copy of a long-lived pool's
+    # idle thread, and its pool would queue the draws for it forever.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = draw_ahead(slices[0]) if helper and slices else None
+        for k, sl in enumerate(slices):
+            noise = ahead
+            if helper and k + 1 < len(slices):
+                ahead = draw_ahead(slices[k + 1])
+            codes = pam_codewords(bits[sl], pam).reshape(sl.stop - sl.start, -1)
+            y = transmit(sl, codes)
+            y += draw(sl) if noise is None else noise.result()
+            errors[sl] = receive(sl, codes, y)
+    return errors
 
 
 @dataclass(frozen=True)
@@ -279,18 +342,14 @@ class PamSystem:
                 "frame_symbols": self.frame_symbols}
 
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
-        pam = self.constellation
-        n, n0 = self.frame_symbols, self.noise_density(gamma_b)
+        pam, n = self.constellation, self.frame_symbols
         bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames * n,))
-        h = None if h is None else h.reshape(frames, n)
-        errors = np.empty(frames, dtype=np.intp)
-        for sl in _frame_slices(frames, n, _BLOCK_REALS):
-            sent = bits[sl]
-            y = _noise(rng, n0, (len(sent), n), fades=None if h is None else h[sl])
-            y += pam_map(sent, pam).reshape(y.shape)
-            errors[sl] = _frame_errors(sent, pam_demap(y, pam))
-        return errors
+        return _block_errors(
+            rng, self.noise_density(gamma_b), bits, pam, (n,), np.float64,
+            None if h is None else h.reshape(frames, n),
+            lambda sl, codes: pam_map(codes, pam).reshape(-1, n),
+            lambda sl, codes, y: _frame_errors(codes, pam_demap(y, pam)))
 
 
 @dataclass(frozen=True)
@@ -327,23 +386,23 @@ class OfdmSystem:
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         qam = self.constellation
         m, nsym = self.subcarriers, self.frame_symbols
-        n0 = self.noise_density(gamma_b)
         bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames, m, nsym))
-        errors = np.empty(frames, dtype=np.intp)
-        for sl in _frame_slices(frames, 2 * m * nsym, _BLOCK_REALS):
-            sent = bits[sl]
-            shape = (len(sent), m, nsym)
-            x = qam_map(sent, qam).reshape(shape)
+
+        def transmit(sl, codes):
+            x = qam_map(codes, qam).reshape(-1, m, nsym)
             if h is not None:
                 x *= h[sl]
-            rx = _noise(rng, n0, shape, np.complex128)
-            rx += np.fft.ifft(x, axis=1, norm="ortho")
+            return np.fft.ifft(x, axis=1, norm="ortho")
+
+        def receive(sl, codes, rx):
             y = np.fft.fft(rx, axis=1, norm="ortho")
             if h is not None:
                 y /= h[sl]
-            errors[sl] = _frame_errors(sent, qam_demap(y, qam))
-        return errors
+            return _frame_errors(codes, qam_demap(y, qam))
+
+        return _block_errors(rng, self.noise_density(gamma_b), bits, qam.pam,
+                             (m, nsym), np.complex128, None, transmit, receive)
 
 
 @dataclass(frozen=True)
@@ -396,9 +455,8 @@ class FbmcSystem:
     def simulate_frames(self, channel, gamma_b, frames, rng) -> np.ndarray:
         pam = self.constellation
         m, nsym = self.grid.subcarriers, self.frame_symbols
-        n0 = self.noise_density(gamma_b)
         bits = _bits(rng, frames * m * nsym * pam.bits_per_symbol)
-        bits = bits.reshape(frames, m, nsym, -1)
+        bits = bits.reshape(frames, -1)
         h = _fades(rng, channel, (frames,))
         lo, hi = self.edge_columns, nsym - self.edge_columns
         # The counted columns lo..hi-1 read the samples [start, start +
@@ -408,17 +466,25 @@ class FbmcSystem:
         start = lo * self.grid.half_symbol
         width = fbmc_signal_length(self.grid, hi - lo)
         flip = self.grid.filter.overlap % 2
-        errors = np.empty(frames, dtype=np.intp)
-        for sl in _frame_slices(frames, 2 * width, _BLOCK_REALS):
-            a = pam_map(bits[sl], pam).reshape(-1, m, nsym)
-            x = _noise(rng, n0, (len(a), width), np.complex128,
-                       None if h is None else h[sl])
-            x += fbmc_synthesize(a, self.bank, start, start + width)
+
+        def transmit(sl, codes):
+            a = pam_map(codes, pam).reshape(-1, m, nsym)
+            return fbmc_synthesize(a, self.bank, start, start + width)
+
+        def receive(sl, codes, x):
             stats = fbmc_analyze_frame(x, self.bank, hi - lo)
             if flip:
                 np.negative(stats, out=stats)
-            errors[sl] = _frame_errors(bits[sl, :, lo:hi], pam_demap(stats, pam))
-        return errors
+            counted = codes.reshape(-1, m, nsym)[:, :, lo:hi]
+            return _frame_errors(counted, pam_demap(stats, pam))
+
+        # OpenBLAS spreads a product of about 1e6 multiply-adds or more over
+        # all cores, and its workers spin for about 0.1 s after each: then
+        # the modem needs the core that the helper thread would take.
+        helper = PRODUCT_ROWS * 2 * m * m < 1e6
+        return _block_errors(rng, self.noise_density(gamma_b), bits, pam,
+                             (width,), np.complex128, h, transmit, receive,
+                             helper)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +498,11 @@ def _batch_frames(batch_idx: int, frame_bits: int) -> int:
 
 def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None,
             seed: int = 0) -> SimResult:
-    """Simulate until min_errors bit errors or max_bits bits per point."""
+    """Simulate until min_errors bit errors or max_bits bits per point.
+
+    Each batch, and the stop reason of each point, is logged at DEBUG
+    level to this module's logger.
+    """
     stop = stop or StopRule()
     ebn0_db = np.atleast_1d(np.asarray(ebn0_db, dtype=np.float64))
     points = []
@@ -452,6 +522,9 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
             errors += int(errs.sum())
             frames_done += frames
             batch_idx += 1
+            logger.debug("point %d (%g dB) batch %d: %d frames; %d frames, "
+                         "%d errors in %d bits so far", idx, db, batch_idx - 1,
+                         frames, frames_done, errors, bits)
             if bits >= stop.max_bits:
                 reason = "max_bits"
                 break
@@ -467,6 +540,8 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
                     continue
                 reason = "target_rel_se"
             break
+        logger.debug("point %d (%g dB) stopped by %s after %d batches",
+                     idx, db, reason, batch_idx)
         per_frame = np.concatenate(frame_errors)
         se_block = None
         if per_frame.size > 1:

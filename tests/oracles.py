@@ -1,9 +1,11 @@
 """Independent references that the tests check the package against.
 
 They compute nothing through the code they check: the Q function is
-plain erfc, and eps[m, n] is the direct inner product of two modulated,
+plain erfc, eps[m, n] is the direct inner product of two modulated,
 shifted pulses sampled on a common axis, not the folded cosine sums of
-`fbmcber.interference.build_set`.
+`fbmcber.interference.build_set`, and bit errors are counted on the
+bits shifted out of each codeword, not on the Hamming distance of two
+codewords.
 """
 
 from __future__ import annotations
@@ -56,3 +58,21 @@ def inner_product(a: Pulse, b: Pulse) -> complex:
         np.vdot(b.samples[lo - b.start : hi - b.start],
                 a.samples[lo - a.start : hi - a.start])
     )
+
+
+def codeword_bits(codewords, bits_per_symbol: int) -> np.ndarray:
+    """The LSB-first int8 bits of each codeword, shifted out one by one."""
+    codes = np.asarray(codewords).astype(np.int64).ravel()
+    bits = np.empty((codes.size, bits_per_symbol), dtype=np.int8)
+    for b in range(bits_per_symbol):
+        bits[:, b] = (codes >> b) & 1
+    return bits.ravel()
+
+
+def bit_errors(sent, decided, bits_per_symbol: int) -> np.ndarray:
+    """Bit errors per frame of the (frames, ...) codewords sent and the
+    codewords decided on them in the same order, bit by bit."""
+    frames = len(sent)
+    wrong = (codeword_bits(sent, bits_per_symbol)
+             != codeword_bits(decided, bits_per_symbol))
+    return np.count_nonzero(wrong.reshape(frames, -1), axis=1)

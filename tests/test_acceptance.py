@@ -24,7 +24,8 @@ from fbmcber.interference import (
     sir,
     truncate,
 )
-from fbmcber.modem import PulseBank, fbmc_analyze_frame, fbmc_synthesize, pam_map
+from fbmcber.modem import (PulseBank, fbmc_analyze_frame, fbmc_synthesize,
+                           pam_codewords, pam_map)
 from fbmcber.constellations import PamConstellation
 from fbmcber.simulate import (
     ChannelModel,
@@ -313,7 +314,8 @@ class TestCriterion8PropertySuites:
         rng = np.random.default_rng(77)
         pam = PamConstellation(8)
         n_cols = 12
-        symbols = pam_map(rng.integers(0, 2, M * n_cols * 3), pam).reshape(M, n_cols)
+        codes = pam_codewords(rng.integers(0, 2, M * n_cols * 3), pam)
+        symbols = pam_map(codes, pam).reshape(M, n_cols)
         bank = PulseBank(grid)
         proj = fbmc_analyze_frame(fbmc_synthesize(symbols[None], bank), bank,
                                   n_cols)[0]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import table_eps
-from oracles import pulse
-from fbmcber import modem
+from oracles import bit_errors, codeword_bits, pulse
+from fbmcber import modem, simulate
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.errors import RangeError, ShapeError
 from fbmcber.filters import make_egf, make_martin
@@ -13,6 +15,7 @@ from fbmcber.modem import (
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
+    pam_codewords,
     pam_demap,
     pam_map,
     qam_demap,
@@ -29,19 +32,24 @@ def martin_bank(martin_grid):
 class TestGrayMapping:
     def test_bpsk_convention(self):
         pam = PamConstellation(2)
-        assert np.array_equal(pam_map(np.array([0, 1]), pam), [-1.0, 1.0])
+        assert np.array_equal(pam_map(pam_codewords(np.array([0, 1]), pam), pam),
+                              [-1.0, 1.0])
 
     def test_pam_round_trip(self):
         rng = np.random.default_rng(5)
         pam = PamConstellation(8)
         bits = rng.integers(0, 2, 30000)
-        assert np.array_equal(pam_demap(pam_map(bits, pam), pam), bits)
+        codes = pam_codewords(bits, pam)
+        assert np.array_equal(codeword_bits(pam_demap(pam_map(codes, pam), pam), 3),
+                              bits)
 
     def test_qam_round_trip(self):
         rng = np.random.default_rng(6)
         qam = QamConstellation(64)
         bits = rng.integers(0, 2, 6 * 5000)
-        assert np.array_equal(qam_demap(qam_map(bits, qam), qam), bits)
+        codes = pam_codewords(bits, qam.pam)
+        assert np.array_equal(codeword_bits(qam_demap(qam_map(codes, qam), qam), 3),
+                              bits)
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_qam_is_pam_of_interleaved_parts(self, order):
@@ -52,36 +60,38 @@ class TestGrayMapping:
         bits = np.random.default_rng(order).integers(0, 2, 50 * qam.bits_per_symbol)
         groups = bits.reshape(-1, qam.bits_per_symbol)
         symbols = np.empty(groups.shape[0], dtype=np.complex128)
-        symbols.real = pam_map(groups[:, :half].ravel(), pam)
-        symbols.imag = pam_map(groups[:, half:].ravel(), pam)
-        got = qam_map(bits, qam)
+        symbols.real = pam_map(pam_codewords(groups[:, :half], pam), pam)
+        symbols.imag = pam_map(pam_codewords(groups[:, half:], pam), pam)
+        got = qam_map(pam_codewords(bits, pam), qam)
         assert got.dtype == np.complex128
         assert np.array_equal(got.view(np.uint64), symbols.view(np.uint64))
         # half-integer steps from past the outer levels: every even integer
         # is a tie between two levels or the clip edge
         axis = np.arange(-pam.order - 1.5, pam.order + 2.0, 0.5)
         values = (axis[:, None] + 1j * axis[None, :]).ravel()
-        expected = np.empty((values.size, 2, half), dtype=np.int8)
-        expected[:, 0] = pam_demap(values.real, pam).reshape(values.size, -1)
-        expected[:, 1] = pam_demap(values.imag, pam).reshape(values.size, -1)
+        expected = np.empty((values.size, 2), dtype=np.uint8)
+        expected[:, 0] = pam_demap(values.real, pam)
+        expected[:, 1] = pam_demap(values.imag, pam)
         demapped = qam_demap(values, qam)
-        assert demapped.dtype == np.int8
+        assert demapped.dtype == np.uint8
         assert np.array_equal(demapped, expected.ravel())
 
     def test_qam_bit_count_validation(self):
         with pytest.raises(ShapeError):
-            qam_map(np.zeros(6, dtype=int), QamConstellation(16))
+            qam_map(pam_codewords(np.zeros(6, dtype=int), PamConstellation(4)),
+                    QamConstellation(16))
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_adjacent_levels_differ_in_one_bit(self, order):
         pam = PamConstellation(order)
-        bits = pam_demap(pam.levels, pam).reshape(order, -1)
+        bits = codeword_bits(pam_demap(pam.levels, pam),
+                             pam.bits_per_symbol).reshape(order, -1)
         for row_a, row_b in zip(bits[:-1], bits[1:]):
             assert np.sum(row_a != row_b) == 1
 
     def test_bit_count_validation(self):
         with pytest.raises(ShapeError):
-            pam_map(np.zeros(7, dtype=int), PamConstellation(8))
+            pam_codewords(np.zeros(7, dtype=int), PamConstellation(8))
 
     def test_slicer_clips_outliers(self):
         pam = PamConstellation(4)
@@ -103,7 +113,7 @@ class TestGrayMapping:
         codes = (bits.reshape(-1, nb) << np.arange(nb)).sum(axis=1)
         levels = pam.levels[np.argsort(pam.gray_codes)][codes]
         for given in (bits, bits.astype(np.int8), bits.astype(bool)):
-            assert np.array_equal(pam_map(given, pam), levels)
+            assert np.array_equal(pam_map(pam_codewords(given, pam), pam), levels)
         values = np.concatenate([
             np.arange(-order - 1.5, order + 2.0, 0.5),
             rng.uniform(-order - 2, order + 2, 3000), [-np.inf, np.inf]])
@@ -111,7 +121,17 @@ class TestGrayMapping:
         table = (pam.gray_codes[:, None] >> np.arange(nb)) & 1
         expected = table[idx.astype(np.intp)].ravel()
         got = pam_demap(values, pam)
-        assert got.dtype == np.int8 and np.array_equal(got, expected)
+        assert got.dtype == np.min_scalar_type(order - 1)
+        assert np.array_equal(codeword_bits(got, nb), expected)
+
+    def test_map_rejects_codewords_outside_the_constellation(self):
+        pam = PamConstellation(8)
+        for bad in ([0, 8], [-1, 2], np.array([255], np.uint8), [0.0, 1.0]):
+            with pytest.raises(RangeError):
+                pam_map(bad, pam)
+        with pytest.raises(RangeError):
+            qam_map(np.array([0, 4]), QamConstellation(16))
+        assert pam_map(np.array([], np.uint8), pam).size == 0
 
     def test_demap_non_finite(self):
         pam, qam = PamConstellation(8), QamConstellation(16)
@@ -123,6 +143,55 @@ class TestGrayMapping:
         with pytest.raises(ValueError, match="NaN"):
             qam_demap(np.array([1.0 + 1j, complex(1.0, np.nan)]), qam)
         assert pam_demap(np.array([]), pam).size == 0
+
+
+@st.composite
+def decisions(draw):
+    """A PAM order 2-1024 or a QAM order 4-1024, a (frames, symbols) block
+    of random codewords, and values to decide on: levels, exact ties
+    between two levels, clipped outliers past the end levels, +-inf and
+    uniform values."""
+    qam = draw(st.booleans())
+    if qam:
+        const = QamConstellation(4 ** draw(st.integers(1, 5)))
+        pam = const.pam
+    else:
+        const = pam = PamConstellation(2 ** draw(st.integers(1, 10)))
+    frames, width = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reals = frames * width * (2 if qam else 1)
+    sent = rng.integers(0, pam.order, reals)
+    n = pam.order
+    kinds = [pam.levels[rng.integers(0, n, reals)],
+             2.0 * rng.integers(1 - n // 2, n // 2 + 1, reals),
+             rng.choice([-1.0, 1.0], reals) * rng.uniform(n, 1e6 * n, reals),
+             rng.choice([-np.inf, np.inf], reals),
+             rng.uniform(-n - 2.0, n + 2.0, reals)]
+    values = np.choose(rng.integers(0, len(kinds), reals), kinds)
+    return const, sent.reshape(frames, -1), values
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(decisions())
+def test_frame_errors_count_the_bits_of_the_decided_codewords(case):
+    """_frame_errors of the decided codewords equals the bit-level count of
+    the bits shifted out of them, and the decided codeword is the Gray
+    codeword of the nearest level (ties to the even level index, clipped
+    to the end levels)."""
+    const, sent, values = case
+    pam = getattr(const, "pam", const)
+    if isinstance(const, QamConstellation):
+        decided = qam_demap(values.view(np.complex128), const)
+        levels = qam_map(sent, const).view(np.float64)
+    else:
+        decided = pam_demap(values, const)
+        levels = pam_map(sent, const)
+    index = np.clip(np.rint((values + pam.order - 1) / 2.0), 0, pam.order - 1)
+    assert np.array_equal(decided, pam.gray_codes[index.astype(np.intp)])
+    codes = sent.astype(decided.dtype)
+    assert np.array_equal(simulate._frame_errors(codes, decided),
+                          bit_errors(sent, decided, pam.bits_per_symbol))
+    assert np.array_equal(pam_demap(levels, pam), codes.ravel())
 
 
 class TestFbmcChain:
@@ -178,7 +247,7 @@ class TestFbmcChain:
         pam = PamConstellation(8)
         n_cols = 12
         bits = rng.integers(0, 2, 16 * n_cols * 3)
-        a = pam_map(bits, pam).reshape(16, n_cols)
+        a = pam_map(pam_codewords(bits, pam), pam).reshape(16, n_cols)
         signal = fbmc_synthesize(a[None], martin_bank)
         proj = fbmc_analyze_frame(signal, martin_bank, n_cols)[0]
         for m0, n0 in [(0, 5), (7, 6), (15, 4)]:
@@ -195,7 +264,7 @@ class TestFbmcChain:
         pam = PamConstellation(8)
         frames, n_cols = 60, 24
         bits = rng.integers(0, 2, frames * 16 * n_cols * 3)
-        a = pam_map(bits, pam).reshape(frames, 16, n_cols)
+        a = pam_map(pam_codewords(bits, pam), pam).reshape(frames, 16, n_cols)
         signal = fbmc_synthesize(a, martin_bank)
         energy = float(np.sum(np.abs(signal) ** 2))
         slots = frames * 16 * n_cols

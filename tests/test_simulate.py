@@ -1,4 +1,7 @@
+import logging
 import math
+import multiprocessing
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from scipy import stats
 
 from conftest import frame_blocks
+from oracles import codeword_bits
 from fbmcber import analytic as an
 from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
@@ -17,6 +21,7 @@ from fbmcber.modem import (
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
+    pam_codewords,
     pam_demap,
     pam_map,
     qam_demap,
@@ -65,13 +70,13 @@ def _whole_batch(system, channel, gamma_b, frames, rng):
     z = rng.standard_normal(dims * math.prod(noise_shape))
     sigma = math.sqrt(system.noise_density(gamma_b) / 2)
     sent = bits
+    pam = system.constellation
     if isinstance(system, PamSystem):
         z *= sigma if amp is None else sigma / amp
-        decided = pam_demap(z + pam_map(bits, system.constellation),
-                            system.constellation)
+        decided = pam_demap(z + pam_map(pam_codewords(bits, pam), pam), pam)
     elif isinstance(system, OfdmSystem):
-        qam = system.constellation
-        x = qam_map(bits, qam).reshape(noise_shape)
+        qam, pam = pam, pam.pam
+        x = qam_map(pam_codewords(bits, pam), qam).reshape(noise_shape)
         if amp is not None:
             x *= amp
         z *= sigma
@@ -82,15 +87,16 @@ def _whole_batch(system, channel, gamma_b, frames, rng):
             y /= amp
         decided = qam_demap(y.ravel(), qam)
     else:
-        pam = system.constellation
         z = z.reshape(frames, -1)
         z *= sigma if amp is None else (sigma / amp)[:, None]
-        x = fbmc_synthesize(pam_map(bits, pam).reshape(frames, m, nsym), system.bank)
+        a = pam_map(pam_codewords(bits, pam), pam).reshape(frames, m, nsym)
+        x = fbmc_synthesize(a, system.bank)
         start = lo * system.grid.half_symbol
         x[:, start : start + noise_shape[1]] += z.view(np.complex128)
         stats_ = fbmc_analyze_frame(x, system.bank, nsym)
         decided = pam_demap(stats_[:, :, lo:nsym - lo].ravel(), pam)
         sent = bits.reshape(frames, m, nsym, -1)[:, :, lo:nsym - lo]
+    decided = codeword_bits(decided, pam.bits_per_symbol)
     wrong = sent.reshape(frames, -1) != decided.reshape(frames, -1)
     return np.count_nonzero(wrong, axis=1)
 
@@ -125,6 +131,17 @@ class TestChannel:
                                      np.complex128, fades)
             assert np.allclose(forced, plain / fades[..., None], rtol=1e-15,
                                atol=0)
+
+    def test_noise_fills_out(self):
+        """With out, the draw lands in out and is the draw without it."""
+        fades = np.array([1.0, 0.5, 0.1])
+        for dtype, dims in ((np.float64, 1), (np.complex128, 2)):
+            out = np.empty(dims * 15)
+            got = simulate._noise(np.random.default_rng(4), 0.2, (3, 5), dtype,
+                                  fades, out)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, simulate._noise(
+                np.random.default_rng(4), 0.2, (3, 5), dtype, fades))
 
     def test_fades_have_unit_power_and_hold_for_coherence(self):
         rng = np.random.default_rng(1)
@@ -162,8 +179,9 @@ class TestChannel:
         bits = np.unpackbits(np.frombuffer(rng.bytes(48), np.uint8)).astype(np.int8)
         amp = np.sqrt(rng.standard_exponential(192))
         y = rng.standard_normal(192) * math.sqrt(system.noise_density(2.0) / 2)
-        y = y / amp + pam_map(bits, system.constellation)
-        wrong = bits != pam_demap(y, system.constellation)
+        pam = system.constellation
+        y = y / amp + pam_map(pam_codewords(bits, pam), pam)
+        wrong = bits != codeword_bits(pam_demap(y, pam), 2)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
 
     def test_ofdm_draws_noise_for_the_body_only(self):
@@ -177,9 +195,10 @@ class TestChannel:
         noise = rng.standard_normal(2 * math.prod(shape))
         noise *= math.sqrt(system.noise_density(2.0) / 2)
         rx = noise.view(np.complex128).reshape(shape)
-        rx += np.fft.ifft(qam_map(bits, qam).reshape(shape), axis=1, norm="ortho")
+        x = qam_map(pam_codewords(bits, qam.pam), qam)
+        rx += np.fft.ifft(x.reshape(shape), axis=1, norm="ortho")
         y = np.fft.fft(rx, axis=1, norm="ortho")
-        wrong = bits != qam_demap(y.ravel(), qam)
+        wrong = bits != codeword_bits(qam_demap(y.ravel(), qam), 2)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
 
     def test_frame_slices_cover_whole_frames(self):
@@ -308,6 +327,91 @@ class TestReproducibility:
         a = run_ber(PamSystem(4), AWGN, [4.0], stop, seed=1)
         b = run_ber(PamSystem(4), AWGN, [4.0], stop, seed=2)
         assert a.points != b.points
+
+
+def _run_ber_matches(points):
+    """Exit status 0 when this process's run_ber repeats points."""
+    stop = StopRule(100, 500_000)
+    assert run_ber(PamSystem(4), AWGN, [4.0, 8.0], stop, seed=42).points == points
+
+
+class TestNoiseThread:
+    """Each simulate_frames call draws its noise on one helper thread of
+    its own, which is gone when the call returns."""
+
+    def test_helper_thread_draws_all_noise_and_is_joined(self, monkeypatch):
+        drawn, mapped = [], []
+        noise, pam_map_ = simulate._noise, simulate.pam_map
+
+        def record_noise(*args, **kwargs):
+            drawn.append(threading.get_ident())
+            return noise(*args, **kwargs)
+
+        def record_map(*args, **kwargs):
+            mapped.append(threading.get_ident())
+            return pam_map_(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_noise", record_noise)
+        monkeypatch.setattr(simulate, "pam_map", record_map)
+        before = threading.active_count()
+        PamSystem(4, frame_symbols=5000).simulate_frames(RAYLEIGH, 2.0, 19,
+                                                          np.random.default_rng(1))
+        assert threading.active_count() == before
+        assert len(drawn) == len(mapped) >= 3
+        assert set(mapped) == {threading.get_ident()}
+        assert len(set(drawn)) == 1 and drawn[0] != mapped[0]
+
+    @pytest.mark.parametrize("m,threaded", [(16, False), (256, True)])
+    def test_fbmc_draws_on_the_helper_unless_its_products_are_threaded(
+            self, monkeypatch, m, threaded):
+        """An FBMC bank whose products OpenBLAS spreads over all cores
+        (PRODUCT_ROWS * 2M * M multiply-adds of 1e6 or more) leaves no core
+        to a helper thread, so its noise is drawn on the calling thread."""
+        drawn, noise = [], simulate._noise
+
+        def record_noise(*args, **kwargs):
+            drawn.append(threading.get_ident())
+            return noise(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_noise", record_noise)
+        system = FbmcSystem(8, FbmcGrid(m, make_egf(1.0, 4, m)))
+        system.simulate_frames(AWGN, 2.0, 5, np.random.default_rng(1))
+        assert drawn and (set(drawn) == {threading.get_ident()}) == threaded
+
+    def test_forked_child_runs_after_the_parent(self):
+        """A child forked after the parent ran run_ber runs it too."""
+        stop = StopRule(100, 500_000)
+        points = run_ber(PamSystem(4), AWGN, [4.0, 8.0], stop, seed=42).points
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_ber_matches, args=(points,))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+class TestProgressLog:
+    def test_batches_and_stop_reasons_are_logged_at_debug(self, caplog):
+        stop = StopRule(300, 2_000_000)
+        with caplog.at_level(logging.DEBUG, logger="fbmcber.simulate"):
+            res = run_ber(PamSystem(4), AWGN, [4.0, 14.0], stop, seed=42)
+        assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+        messages = [r.getMessage() for r in caplog.records]
+        for idx, point in enumerate(res.points):
+            mine = [m for m in messages if m.startswith(f"point {idx} ")]
+            assert len(mine) == point.batches + 1
+            assert mine[-2].endswith(f"; {point.frames} frames, {point.errors} "
+                                     f"errors in {point.bits} bits so far")
+            assert mine[-1].endswith(f"stopped by {point.stop} after "
+                                     f"{point.batches} batches")
+        assert [p.stop for p in res.points] == ["min_errors", "max_bits"]
+
+    def test_nothing_is_logged_by_default(self, caplog):
+        with caplog.at_level(logging.INFO):
+            run_ber(PamSystem(4), AWGN, [4.0], StopRule(100, 500_000), seed=42)
+        assert not caplog.records
 
 
 class TestAgainstClosedForms:
