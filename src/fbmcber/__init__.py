@@ -7,11 +7,9 @@ channels, and a calibrated baseband simulator to validate them.
 """
 
 from .analytic import (
-    BepCurve,
     cho_weight,
     cho_weights,
     db_to_linear,
-    export_curve_csv,
     fbmc_awgn_approx,
     fbmc_awgn_exact,
     fbmc_rayleigh_approx,

@@ -17,7 +17,6 @@ scale throughout; dB conversion happens at the CLI boundary.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "fbmc_awgn_exact",
     "fbmc_rayleigh_approx",
     "fbmc_rayleigh_exact",
-    "BepCurve",
-    "export_curve_csv",
     "db_to_linear",
 ]
 
@@ -204,30 +201,3 @@ def fbmc_rayleigh_exact(order, table, gamma_b, *, budget=enumeration.DEFAULT_BUD
     """Exact FBMC BEP over flat Rayleigh fading."""
     return _bep(order, table.eps, gamma_b, "rayleigh", "exact", budget)
 
-
-# ---------------------------------------------------------------------------
-# Curve container
-
-@dataclass
-class BepCurve:
-    """Sampled analytic BEP curve with its model identification."""
-
-    model: str
-    ebn0_db: np.ndarray
-    prob: np.ndarray
-    filter_label: str = ""
-    kmax: int | None = None
-    n_cp: int | None = None
-
-    def __post_init__(self):
-        self.ebn0_db = np.asarray(self.ebn0_db, dtype=np.float64)
-        self.prob = np.atleast_1d(np.asarray(self.prob, dtype=np.float64))
-
-
-def export_curve_csv(curve: BepCurve, path):
-    """CSV with columns ebn0_db, bep, model, filter, kmax."""
-    kmax = "" if curve.kmax is None else str(curve.kmax)
-    with open(path, "w") as fh:
-        fh.write("ebn0_db,bep,model,filter,kmax\n")
-        for db, p in zip(curve.ebn0_db, curve.prob):
-            fh.write(f"{db:.6g},{p:.14e},{curve.model},{curve.filter_label},{kmax}\n")

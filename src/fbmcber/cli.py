@@ -181,12 +181,13 @@ def cmd_filter_info(args) -> int:
 
 
 def _analytic_curve(args, ebn0_db, filt, stages):
-    """The analytic curve, and the offset and support counts of an FBMC one;
-    the table build and the BEP evaluation are timed into stages."""
+    """The analytic curve and its manifest fields: model, filter, kmax,
+    n_cp and the offset and support counts of an FBMC curve; the table
+    build and the BEP evaluation are timed into stages."""
     gammas = analytic.db_to_linear(ebn0_db)
     what = (args.system, args.channel, args.form)
-    filt_label, kmax, n_cp = "", None, None
-    sizes = {"offsets_per_point": None, "support_points": None}
+    fields = {"model": "-".join(what), "filter": "", "kmax": None,
+              "n_cp": None, "offsets_per_point": None, "support_points": None}
     if args.system == "ofdm" and args.form != "exact":
         raise ValueError("OFDM curves implement the exact form only")
     # pam_ or fbmc_<channel>_<form>, or ofdm_<channel>, read off the module
@@ -196,36 +197,38 @@ def _analytic_curve(args, ebn0_db, filt, stages):
         probs = _timed(stages, "bep", fn, args.np, gammas)
     elif args.system == "ofdm":
         probs = _timed(stages, "bep", fn, args.nq, args.m, args.ncp, gammas)
-        n_cp = args.ncp
+        fields["n_cp"] = args.ncp
     else:
         full = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
         table = truncate(full, args.kmax)
         probs = _timed(stages, "bep", fn, args.np, table, gammas,
                        budget=args.budget)
-        sizes = {"offsets_per_point": args.np ** len(table),
-                 "support_points": enumeration.support_size(table.eps, args.np)}
+        fields.update(filter=filt.label, kmax=args.kmax,
+                      offsets_per_point=args.np ** len(table),
+                      support_points=enumeration.support_size(table.eps, args.np))
         # Milliseconds to 3 significant digits, never in exponent form.
         bep_ms = float(f"{stages['bep'] * 1e3:.3g}")
-        print(f"# enumerated {sizes['offsets_per_point']} offsets/point as "
-              f"{sizes['support_points']} support points over {len(table)} "
+        print(f"# enumerated {fields['offsets_per_point']} offsets/point as "
+              f"{fields['support_points']} support points over {len(table)} "
               f"elements in {bep_ms:g} ms total", file=sys.stderr)
-        filt_label, kmax = filt.label, args.kmax
-    model = "-".join(what)
-    curve = analytic.BepCurve(model, ebn0_db, probs, filt_label, kmax, n_cp)
-    return curve, sizes
+    return probs, fields
 
 
 def cmd_bep(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
-    curve, sizes = _analytic_curve(args, ebn0_db, _fbmc_filter(args, stages),
-                                   stages)
+    probs, fields = _analytic_curve(args, ebn0_db, _fbmc_filter(args, stages),
+                                    stages)
     csv_path, manifest_path = _out_paths(args, "bep")
-    analytic.export_curve_csv(curve, csv_path)
+    kmax = "" if fields["kmax"] is None else fields["kmax"]
+    with open(csv_path, "w") as fh:
+        fh.write("ebn0_db,bep,model,filter,kmax\n")
+        for db, bep in zip(ebn0_db, probs):
+            fh.write(f"{db:.6g},{bep:.14e},{fields['model']},"
+                     f"{fields['filter']},{kmax}\n")
     _write_manifest(manifest_path, {
-        "command": "bep", "model": curve.model, "filter": curve.filter_label,
-        "kmax": curve.kmax, "n_cp": curve.n_cp, **sizes,
-        "ebn0_db": list(map(float, ebn0_db)), "stage_s": stages,
+        "command": "bep", **fields, "ebn0_db": list(map(float, ebn0_db)),
+        "stage_s": stages,
     })
     print(f"wrote {csv_path}")
     return 0
@@ -267,7 +270,7 @@ def cmd_compare(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
     filt = _fbmc_filter(args, stages)
-    curve, _ = _analytic_curve(args, ebn0_db, filt, stages)
+    probs, fields = _analytic_curve(args, ebn0_db, filt, stages)
 
     if args.sim_csv:
         result = SimResult.from_csv(args.sim_csv)
@@ -279,18 +282,18 @@ def cmd_compare(args) -> int:
     else:
         result = _simulated(args, ebn0_db, filt, stages)
 
-    zs = z_scores(result, curve.prob)
+    zs = z_scores(result, probs)
     csv_path, manifest_path = _out_paths(args, "compare")
     with open(csv_path, "w") as fh:
         fh.write("ebn0_db,bep,ber,bits,errors,ci95,z,flag\n")
-        for point, bep, z in zip(result.points, curve.prob, zs):
+        for point, bep, z in zip(result.points, probs, zs):
             flag = "OK" if abs(z) <= 3.0 else "DIVERGENT"
             fh.write(f"{point.ebn0_db:.6g},{bep:.14e},{point.ber:.10e},"
                      f"{point.bits},{point.errors},{point.ci95:.6e},"
                      f"{z:+.3f},{flag}\n")
     worst = float(np.max(np.abs(zs)))
     _write_manifest(manifest_path, {
-        "command": "compare", "model": curve.model, "seed": result.seed,
+        "command": "compare", "model": fields["model"], "seed": result.seed,
         "config": result.config, "worst_abs_z": worst, "stage_s": stages,
         "points": [dataclasses.asdict(p) for p in result.points],
     })
@@ -301,7 +304,7 @@ def cmd_compare(args) -> int:
               "beyond 3 sigma:", file=sys.stderr)
         for i in failing:
             point = result.points[i]
-            terms = _se_terms(point, curve.prob[i])
+            terms = _se_terms(point, probs[i])
             source = max(terms, key=terms.get)
             print(f"  {point.ebn0_db:g} dB: z = {zs[i]:+.2f}, "
                   f"SE {terms[source]:.3e} from {source}", file=sys.stderr)

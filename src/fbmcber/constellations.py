@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConstellationError
 
 __all__ = ["PamConstellation", "QamConstellation"]
@@ -35,16 +33,6 @@ class PamConstellation:
     @property
     def symbol_energy(self) -> float:
         return (self.order**2 - 1) / 3.0
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.arange(1 - self.order, self.order, 2, dtype=np.float64)
-
-    @property
-    def gray_codes(self) -> np.ndarray:
-        """Gray codeword carried by each level, in level order."""
-        idx = np.arange(self.order)
-        return idx ^ (idx >> 1)
 
     def noise_density(self, gamma_b: float) -> float:
         """N0 such that gamma_b = E_s / (N_b * N0); gamma_b linear."""

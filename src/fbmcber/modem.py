@@ -195,13 +195,18 @@ class PulseBank:
         return np.where(np.arange(n_symbols) // 2 % 2, -1.0, 1.0)
 
 
+def _equal_slices(n: int, most: int) -> list[slice]:
+    """The fewest equal slices of range(n) of at most `most` (>= 1) items
+    each; the last one may be shorter."""
+    step = max(1, -(-n // max(1, -(-n // most))))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """rows @ matrix in equal parts of at most PRODUCT_ROWS rows."""
     out = np.empty((rows.shape[0], matrix.shape[1]))
-    parts = max(1, -(-rows.shape[0] // PRODUCT_ROWS))
-    step = max(1, -(-rows.shape[0] // parts))
-    for lo in range(0, rows.shape[0], step):
-        np.matmul(rows[lo : lo + step], matrix, out=out[lo : lo + step])
+    for sl in _equal_slices(rows.shape[0], PRODUCT_ROWS):
+        np.matmul(rows[sl], matrix, out=out[sl])
     return out
 
 

@@ -43,6 +43,7 @@ from .interference import FbmcGrid
 from .modem import (
     PRODUCT_ROWS,
     PulseBank,
+    _equal_slices,
     fbmc_analyze_frame,
     fbmc_signal_length,
     fbmc_synthesize,
@@ -266,9 +267,7 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
     """Equal slices of whole frames, each of at most budget // per_frame
     frames and at least one (a 130-frame M=16 batch ran faster as 65 + 65
     frames than as 85 + 45)."""
-    most = max(1, budget // max(per_frame, 1))
-    step = max(1, -(-frames // max(1, -(-frames // most))))
-    return [slice(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
+    return _equal_slices(frames, max(1, budget // max(per_frame, 1)))
 
 
 def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive,
@@ -326,6 +325,10 @@ class PamSystem:
     order: int
     frame_symbols: int = 4096
 
+    def __post_init__(self):
+        if self.frame_symbols < 1:
+            raise ValueError(f"frame_symbols must be >= 1, got {self.frame_symbols}")
+
     @property
     def constellation(self) -> PamConstellation:
         return PamConstellation(self.order)
@@ -363,6 +366,8 @@ class OfdmSystem:
 
     def __post_init__(self):
         _ofdm_args(self.qam_order, self.subcarriers, self.n_cp)  # as in ofdm_awgn
+        if self.frame_symbols < 1:
+            raise ValueError(f"frame_symbols must be >= 1, got {self.frame_symbols}")
 
     @property
     def constellation(self) -> QamConstellation:
@@ -496,6 +501,15 @@ def _batch_frames(batch_idx: int, frame_bits: int) -> int:
     return max(1, round(target / frame_bits))
 
 
+def _replicate_se(frame_errors: list[np.ndarray]):
+    """Standard error of the mean errors per frame over the frames of
+    the batches' frame_errors, or None below two frames."""
+    per_frame = np.concatenate(frame_errors)
+    if per_frame.size < 2:
+        return None
+    return per_frame.std(ddof=1) / math.sqrt(per_frame.size)
+
+
 def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None,
             seed: int = 0) -> SimResult:
     """Simulate until min_errors bit errors or max_bits bits per point.
@@ -532,23 +546,15 @@ def run_ber(system, channel: ChannelModel, ebn0_db, stop: StopRule | None = None
                 continue
             reason = "min_errors"
             if stop.target_rel_se is not None and errors:
-                # a frame-replicate SE needs two frames or more
-                per_frame = np.concatenate(frame_errors)
-                if per_frame.size < 2 or (
-                        per_frame.std(ddof=1) / math.sqrt(per_frame.size)
-                        > stop.target_rel_se * per_frame.mean()):
+                se = _replicate_se(frame_errors)
+                if se is None or se > stop.target_rel_se * (errors / frames_done):
                     continue
                 reason = "target_rel_se"
             break
         logger.debug("point %d (%g dB) stopped by %s after %d batches",
                      idx, db, reason, batch_idx)
-        per_frame = np.concatenate(frame_errors)
-        se_block = None
-        if per_frame.size > 1:
-            se_block = float(
-                per_frame.std(ddof=1)
-                / math.sqrt(per_frame.size) / system.frame_bits
-            )
+        se = _replicate_se(frame_errors)
+        se_block = None if se is None else float(se / system.frame_bits)
         point = SimPoint.from_counts(db, bits, errors, se_block)
         point.frames, point.batches, point.stop = frames_done, batch_idx, reason
         points.append(point)

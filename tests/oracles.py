@@ -3,9 +3,10 @@
 They compute nothing through the code they check: the Q function is
 plain erfc, eps[m, n] is the direct inner product of two modulated,
 shifted pulses sampled on a common axis, not the folded cosine sums of
-`fbmcber.interference.build_set`, and bit errors are counted on the
-bits shifted out of each codeword, not on the Hamming distance of two
-codewords.
+`fbmcber.interference.build_set`, the PAM levels and their Gray
+codewords are tables, not the arithmetic of `fbmcber.modem.pam_map`
+and `pam_demap`, and bit errors are counted on the bits shifted out of
+each codeword, not on the Hamming distance of two codewords.
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ def inner_product(a: Pulse, b: Pulse) -> complex:
         np.vdot(b.samples[lo - b.start : hi - b.start],
                 a.samples[lo - a.start : hi - a.start])
     )
+
+
+def pam_levels(order: int) -> np.ndarray:
+    """The PAM amplitude levels -N+1, -N+3, ..., N-1 in ascending order."""
+    return np.arange(1 - order, order, 2, dtype=np.float64)
+
+
+def gray_codes(order: int) -> np.ndarray:
+    """Gray codeword carried by each level, in level order."""
+    idx = np.arange(order)
+    return idx ^ (idx >> 1)
 
 
 def codeword_bits(codewords, bits_per_symbol: int) -> np.ndarray:

@@ -297,6 +297,13 @@ class TestChannel:
         for subcarriers, n_cp in ((0, 2), (-1, 2), (16, -1)):
             with pytest.raises(ConstellationError):
                 OfdmSystem(16, subcarriers, n_cp)
+        OfdmSystem(16, 16, 2, frame_symbols=1)
+        PamSystem(4, frame_symbols=1)
+        for frame_symbols in (0, -3):
+            with pytest.raises(ValueError, match="frame_symbols"):
+                OfdmSystem(16, 16, 2, frame_symbols=frame_symbols)
+            with pytest.raises(ValueError, match="frame_symbols"):
+                PamSystem(4, frame_symbols=frame_symbols)
 
 
 class TestProjectionCalibration:

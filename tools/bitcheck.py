@@ -5,8 +5,9 @@
 For each tree, in its own interpreter, this writes to OUT_DIR/old and
 OUT_DIR/new:
 
-  bench/    the CSV of every CLI call of one round of each benchmark
-            workload at seed 1, as bench/run.py runs it;
+  bench/    the CSV and the JSON manifest of every CLI call of one round
+            of each benchmark workload at seed 1, as bench/run.py runs
+            it, each manifest without its timestamp and stage times;
   counts.jsonl
             one line per run_ber call of acceptance criteria C5-C8
             (test, seed, config, and each point's bits, errors, frames,
@@ -29,10 +30,13 @@ from pathlib import Path
 
 WORKLOAD_SEED = 1
 ACCEPTANCE = "Criterion5 or Criterion6 or Criterion7 or Criterion8"
+# Manifest fields that change from run to run; every other one is compared.
+RUN_FIELDS = ("timestamp", "stage_s")
 
 
 def dump_bench(tree: Path, out: Path) -> int:
-    """The CSVs of one round of every workload; returns how many."""
+    """The CSVs and manifests of one round of every workload; returns how
+    many CSVs."""
     sys.path.insert(0, str(tree / "bench"))
     import run
     import workloads
@@ -45,7 +49,10 @@ def dump_bench(tree: Path, out: Path) -> int:
         workdir.mkdir(parents=True)
         run.run_round(cli, workloads.build(name, WORKLOAD_SEED, cores), str(workdir))
         for manifest in workdir.glob("*.manifest.json"):
-            manifest.unlink()  # holds stage times and versions
+            payload = json.loads(manifest.read_text())
+            for key in RUN_FIELDS:
+                payload.pop(key, None)
+            manifest.write_text(json.dumps(payload, indent=2) + "\n")
         count += len(list(workdir.glob("*.csv")))
     return count
 
