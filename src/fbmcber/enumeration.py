@@ -28,8 +28,10 @@ DEFAULT_BUDGET = 2**24
 # Magnitudes closer than this relative distance form one group; mirrored
 # table entries agree to the last few ulps only.
 GROUP_RTOL = 1e-9
-# Support points evaluated at once, which bounds the kernel's temporaries.
-SLICE = 1 << 14
+# Kernel arguments (thresholds x support points) per block of the support,
+# which keeps the kernel's temporaries in cache: the support is cut into
+# the whole number of equal blocks nearest to this size each.
+BLOCK_ARGS = 1 << 14
 
 
 def _groups(eps) -> list[tuple[float, int]]:
@@ -91,7 +93,7 @@ def reduce_offsets(eps, order, scales, thetas, weights, kind,
 
     `scales` holds the kernel scale sqrt(u * gamma / 2) per SNR point and
     `kind` is 'awgn' or 'rayleigh'.  The mean is the multiplicity-weighted
-    sum over offset_support(eps, order), taken slice by slice in a fixed
+    sum over offset_support(eps, order), taken block by block in a fixed
     order with exact (fsum) accumulation of the partial sums, divided by
     the offset count order**k.  That count is the sum of the
     multiplicities, an exact power of two: it equals their fsum bit for
@@ -105,9 +107,11 @@ def reduce_offsets(eps, order, scales, thetas, weights, kind,
     thetas = np.asarray(thetas, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     parts = [[] for _ in scales]
-    for start in range(0, values.size, SLICE):
-        diff = thetas[:, None] - values[None, start:start + SLICE]
-        mult = mults[start:start + SLICE]
+    blocks = max(1, round(values.size * thetas.size / BLOCK_ARGS))
+    step = -(-values.size // blocks)
+    for start in range(0, values.size, step):
+        diff = thetas[:, None] - values[None, start:start + step]
+        mult = mults[start:start + step]
         for part, scale in zip(parts, scales):
             part.extend(weights * (_kernel(scale * diff, kind) * mult).sum(axis=1))
     total = float(order) ** len(eps)

@@ -90,7 +90,15 @@ def _cosine_sums(grid: FbmcGrid) -> np.ndarray:
     quarter = np.cos(np.arange(m_sub // 2) * pi / m_sub)
     half = np.concatenate([quarter, [0.0], -quarter[:0:-1]]).astype(np.float64)
     cycle = np.concatenate([half, -half])
-    return folds @ cycle[np.outer(np.arange(bins), np.arange(m_sub)) % bins]
+    basis = cycle[np.outer(np.arange(bins), np.arange(m_sub)) % bins]
+    # OpenBLAS spreads a product of about 1e6 multiply-adds or more over all
+    # cores, and its worker then spins on the other core for about 0.1 s;
+    # column blocks of at most 2**19 multiply-adds stay on this thread.
+    step = max(1, (1 << 19) // ((2 * span + 1) * bins))
+    sums = np.empty((2 * span + 1, m_sub))
+    for lo in range(0, m_sub, step):
+        np.matmul(folds, basis[:, lo : lo + step], out=sums[:, lo : lo + step])
+    return sums
 
 
 @dataclass(frozen=True)

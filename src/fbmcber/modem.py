@@ -2,11 +2,13 @@
 
 Gray PAM bit mapping, with square QAM as PAM over the interleaved
 (re, im) parts of its symbols, and FBMC synthesis and analysis of frame
-batches in polyphase form: per column parity one real matrix product
-with a `PulseBank`'s M x M root-of-unity matrix, and one multiply-add per
-chunk of M prototype taps.  Real PAM amplitudes in, real decision
-statistics Re<x|p[m,n]> out.  The cyclic-prefix OFDM chain is part of
-`simulate.OfdmSystem`.
+batches in polyphase form: per column parity one product with a
+`PulseBank`'s M x M root-of-unity matrix, and one multiply-add per chunk
+of M prototype taps.  The product is a real matrix product while it stays
+on one OpenBLAS thread (M <= 44), and a twisted length-M FFT above, where
+a matrix product would wake OpenBLAS's worker threads.  Real PAM
+amplitudes in, real decision statistics Re<x|p[m,n]> out.  The
+cyclic-prefix OFDM chain is part of `simulate.OfdmSystem`.
 The mapping works on Gray codewords: `pam_codewords` packs LSB-first
 groups of N_b bits into codewords, `pam_map` gives the level of each
 codeword and `pam_demap` the codeword of the nearest level, so the bit
@@ -17,6 +19,8 @@ an interleaved (in-phase, quadrature) pair of codewords.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -139,8 +143,11 @@ def qam_demap(values, qam: QamConstellation) -> np.ndarray:
 # Rows (symbol columns of one parity) per real product.  OpenBLAS spreads a
 # product of about 1e6 multiply-adds or more over all cores; on 2 cores a
 # 1560 x 16 x 130 product (65 frames of 48 columns at M=16) gained nothing
-# from the second thread and its time varied several-fold from call to call.
-# 256 rows keep M=16 on one thread.
+# from the second thread and its time varied several-fold from call to call,
+# and after each threaded product the worker spins on the other core for
+# about 0.1 s, taking it from the noise helper and from whatever runs next.
+# 256 rows keep the product of M <= 44 on one thread; a bank of larger M
+# takes the FFT form, which calls no BLAS.
 PRODUCT_ROWS = 256
 
 
@@ -156,16 +163,26 @@ class PulseBank:
         unity matrices; row m of period[r] interleaves the real and
         imaginary parts, so a real row vector times period[r] is a real
         combination of the complex rows.
+    twist: the (2, M) complex factors of period[r][m, j] = twist[r, m] *
+        exp(2j*pi*m*j/M), so a product with period[r] is an inverse DFT of
+        the rows times twist[r], and one with its adjoint a DFT times the
+        conjugate twist.
+    fft: whether the products take the FFT form; they do when a product of
+        PRODUCT_ROWS rows with period[r] would reach the 1e6 multiply-adds
+        at which OpenBLAS wakes its worker threads (M >= 46).
     chunks: the (C, 2M) taps p[q*M + i], C = ceil(L_p / M), each repeated
         for the real and the imaginary part and zero past L_p.
 
     period is a transposed view of the row-major (2, 2M, M) array that the
-    analysis multiplies by.  OpenBLAS rounds a row's product with a
-    transposed operand differently by the number of rows in the product,
+    analysis multiplies by, built on first use: a bank of the FFT form
+    never needs it (4 ms at M=256).  OpenBLAS rounds a row's product with
+    a transposed operand differently by the number of rows in the product,
     and with a row-major one only in products of a few rows; so the window
     of a frame that the simulator analyzes gives the frame's counted
-    statistics bit for bit.  Synthesis needs no such invariance: a window
-    synthesizes from the same product rows as its whole frame.
+    statistics bit for bit.  The FFT transforms each row on its own, so
+    either way a frame's statistics do not depend on the batch.  Synthesis
+    needs no such invariance: a window synthesizes from the same product
+    rows as its whole frame.
     """
 
     def __init__(self, grid: FbmcGrid):
@@ -173,26 +190,55 @@ class PulseBank:
         taps = grid.filter.coeffs
         m_sub, lp = grid.subcarriers, taps.size
         # fold[r][m, j] = taps[j] * exp(i*pi*k/M) with the integer
-        # k = 2*m*j - m*(L_p-1) + (2*m*r + m + r)*M/2 (mod 2M), which has
-        # period M in j: gather one period from the 2M-th roots of unity
-        m = np.arange(m_sub)[:, None]
-        j = np.arange(m_sub)[None, :]
-        roots = np.exp(1j * np.pi / m_sub * np.arange(2 * m_sub))
-        self._adjoint = np.empty((2, 2 * m_sub, m_sub))
-        for r in (0, 1):
-            k = 2 * m * j - m * (lp - 1) + (2 * m * r + m + r) * (m_sub // 2)
-            period_r = roots[k % (2 * m_sub)]
-            self._adjoint[r, 0::2] = period_r.real.T
-            self._adjoint[r, 1::2] = period_r.imag.T
-        self.period = self._adjoint.transpose(0, 2, 1)
+        # k = 2*m*j + k0[r, m] (mod 2M), k0[r, m] = -m*(L_p-1) +
+        # (2*m*r + m + r)*M/2, which has period M in j: gather one period
+        # from the 2M-th roots of unity
+        m = np.arange(m_sub)
+        self._k0 = np.stack([-m * (lp - 1) + (2 * m * r + m + r) * (m_sub // 2)
+                             for r in (0, 1)])
+        self._roots = np.exp(1j * np.pi / m_sub * np.arange(2 * m_sub))
+        self.twist = self._roots[self._k0 % (2 * m_sub)]
+        self.fft = PRODUCT_ROWS * 2 * m_sub * m_sub >= 1e6
         padded = np.zeros(-(-lp // m_sub) * m_sub)
         padded[:lp] = taps
         self.chunks = np.repeat(padded, 2).reshape(-1, 2 * m_sub)
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        m_sub = self.grid.subcarriers
+        mj = np.outer(np.arange(m_sub), np.arange(m_sub))
+        adjoint = np.empty((2, 2 * m_sub, m_sub))
+        for r in (0, 1):
+            period_r = self._roots[(2 * mj + self._k0[r, :, None]) % (2 * m_sub)]
+            adjoint[r, 0::2] = period_r.real.T
+            adjoint[r, 1::2] = period_r.imag.T
+        return adjoint
+
+    @property
+    def period(self) -> np.ndarray:
+        return self._adjoint.transpose(0, 2, 1)
 
     @staticmethod
     def signs(n_symbols: int) -> np.ndarray:
         """Column signs (-1)**(n // 2) for n < n_symbols."""
         return np.where(np.arange(n_symbols) // 2 % 2, -1.0, 1.0)
+
+    def combine(self, rows: np.ndarray, r: int) -> np.ndarray:
+        """rows @ period[r]: the (R, 2M) interleaved samples of the real
+        combinations of parity r's complex rows given by the (R, M) rows."""
+        if not self.fft:
+            return _rows_product(rows, self.period[r])
+        prod = np.fft.ifft(rows * self.twist[r], axis=1, norm="forward")
+        return prod.view(np.float64)
+
+    def project(self, rows: np.ndarray, r: int) -> np.ndarray:
+        """rows @ period[r].T: the (R, M) real projections of the (R, 2M)
+        interleaved rows onto parity r's complex rows."""
+        if not self.fft:
+            return _rows_product(rows, self._adjoint[r])
+        spectra = np.fft.fft(rows.view(np.complex128), axis=1)
+        spectra *= self.twist[r].conj()
+        return spectra.real
 
 
 def _equal_slices(n: int, most: int) -> list[slice]:
@@ -251,8 +297,7 @@ def fbmc_synthesize(symbols, bank: PulseBank, start: int = 0,
         rows = np.empty(cols.shape)
         np.multiply(cols, signs[r::2, None], out=rows)
         run = cols.shape[1] * width
-        prod = _rows_product(rows.reshape(-1, m_sub), bank.period[r])
-        prod = prod.reshape(frames, run)
+        prod = bank.combine(rows.reshape(-1, m_sub), r).reshape(frames, run)
         term = np.empty_like(prod)
         for q in range(n_chunks):
             at = (r + 2 * q) * m_sub
@@ -295,7 +340,7 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     out = np.empty((frames, m_sub, n_symbols))
     for r in (0, 1):
         rows = np.ascontiguousarray(acc[:, r::2])
-        stats = _rows_product(rows.reshape(-1, width), bank._adjoint[r])
+        stats = bank.project(rows.reshape(-1, width), r)
         stats = stats.reshape(rows.shape[:2] + (m_sub,)).transpose(0, 2, 1)
         np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out

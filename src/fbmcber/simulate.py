@@ -17,10 +17,11 @@ bit errors as the Hamming distances between the sent and the decided
 codewords.  Meanwhile one helper thread draws the noise of the blocks,
 each as one interleaved standard_normal array (complex for OFDM and
 FBMC), in block order and one block ahead of the calling thread; the
-thread is joined before simulate_frames returns.  FBMC banks whose
-products OpenBLAS spreads over all cores draw on the calling thread
-instead.  FBMC counts the columns 2K .. N-2K only, so it synthesizes,
-draws noise for and analyzes only the samples those columns read.
+thread is joined before simulate_frames returns.  The package issues no
+matrix product large enough for OpenBLAS to spread over all cores, so no
+idle OpenBLAS worker spins on the core that the helper draws on.  FBMC
+counts the columns 2K .. N-2K only, so it synthesizes, draws noise for
+and analyzes only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -41,7 +42,6 @@ from .analytic import _ofdm_args
 from .constellations import PamConstellation, QamConstellation
 from .interference import FbmcGrid
 from .modem import (
-    PRODUCT_ROWS,
     PulseBank,
     _equal_slices,
     fbmc_analyze_frame,
@@ -270,8 +270,7 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
     return _equal_slices(frames, max(1, budget // max(per_frame, 1)))
 
 
-def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive,
-                  helper=True):
+def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
     """Bit errors per frame of a batch, run in blocks of whole frames.
 
     bits holds the frames' bits, (frames, frame_bits).  Per block this
@@ -279,25 +278,21 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive,
     gives the noise-free received signal of the frames sl, a
     (frames, *shape) array of dtype, and receive(sl, codes, y) the bit
     errors per frame of y, that signal plus its noise (zero-forced by
-    fades[sl] unless fades is None).  With helper, one helper thread
-    draws the noise of the blocks in block order, each while this thread
-    works on the block before; it calls _noise only, which touches rng
-    and an array that this thread allocates (numpy's generator releases
-    the GIL while it draws).  Without, each block draws its noise after
-    its transmit.
+    fades[sl] unless fades is None).  One helper thread draws the noise
+    of the blocks in block order, each while this thread works on the
+    block before; it calls _noise only, which touches rng and an array
+    that this thread allocates (numpy's generator releases the GIL while
+    it draws).
     """
     # imported on the first batch, not with the package (about 2.5 ms)
     from concurrent.futures import ThreadPoolExecutor
-
-    def draw(sl, out=None):
-        return _noise(rng, n0, (sl.stop - sl.start, *shape), dtype,
-                      None if fades is None else fades[sl], out)
 
     def draw_ahead(sl):
         # Arrays that the helper allocated would stay in a malloc arena of
         # its own (+1 MiB of peak RSS on the benchmark's bep-top8 workload).
         out = np.empty(dims * (sl.stop - sl.start) * math.prod(shape))
-        return pool.submit(draw, sl, out)
+        return pool.submit(_noise, rng, n0, (sl.stop - sl.start, *shape), dtype,
+                           None if fades is None else fades[sl], out)
 
     frames = len(bits)
     dims = np.dtype(dtype).itemsize // 8
@@ -306,14 +301,14 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive,
     # One pool per call: a forked child has no copy of a long-lived pool's
     # idle thread, and its pool would queue the draws for it forever.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = draw_ahead(slices[0]) if helper and slices else None
+        ahead = draw_ahead(slices[0]) if slices else None
         for k, sl in enumerate(slices):
             noise = ahead
-            if helper and k + 1 < len(slices):
+            if k + 1 < len(slices):
                 ahead = draw_ahead(slices[k + 1])
             codes = pam_codewords(bits[sl], pam).reshape(sl.stop - sl.start, -1)
             y = transmit(sl, codes)
-            y += draw(sl) if noise is None else noise.result()
+            y += noise.result()
             errors[sl] = receive(sl, codes, y)
     return errors
 
@@ -483,13 +478,8 @@ class FbmcSystem:
             counted = codes.reshape(-1, m, nsym)[:, :, lo:hi]
             return _frame_errors(counted, pam_demap(stats, pam))
 
-        # OpenBLAS spreads a product of about 1e6 multiply-adds or more over
-        # all cores, and its workers spin for about 0.1 s after each: then
-        # the modem needs the core that the helper thread would take.
-        helper = PRODUCT_ROWS * 2 * m * m < 1e6
         return _block_errors(rng, self.noise_density(gamma_b), bits, pam,
-                             (width,), np.complex128, h, transmit, receive,
-                             helper)
+                             (width,), np.complex128, h, transmit, receive)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,10 @@ class TestGroupedReduction:
     def test_matches_brute_force(self, kind, form, monkeypatch):
         from fbmcber import analytic as an
 
-        # 7 * 7 * 4 = 196 support points, summed in slices of 50.
-        monkeypatch.setattr(enumeration, "SLICE", 50)
+        # 7 * 7 * 4 = 196 support points, summed in blocks of about 50
+        # kernel arguments: 12 blocks of 17 points at the exact form's three
+        # thresholds, 4 of 49 at the approximation's one.
+        monkeypatch.setattr(enumeration, "BLOCK_ARGS", 50)
 
         thetas, weights = (an._approx_weights(self.ORDER) if form == "approx"
                            else an.collapsed_cho_weights(self.ORDER))

@@ -320,6 +320,7 @@ class TestFbmcOracles:
 
     def test_synthesis_matches_pulse_superposition(self, egf_grid, egf_bank):
         """Also with one and two columns, where a parity has none or one."""
+        assert egf_bank.fft  # M=64 takes the FFT form of the products
         rng = np.random.default_rng(21)
         for n_cols in (1, 2, 6):
             a = rng.normal(size=(64, n_cols))
@@ -369,6 +370,9 @@ class TestFbmcOracles:
         taps = egf_grid.filter.coeffs
         period = np.ascontiguousarray(egf_bank.period).view(np.complex128)
         assert period.shape == (2, m_sub, m_sub)
+        dft = np.exp(2j * np.pi / m_sub * np.outer(np.arange(m_sub), np.arange(m_sub)))
+        twisted = egf_bank.twist[:, :, None] * dft
+        assert np.max(np.abs(period - twisted)) < 1e-12
         chunks = egf_bank.chunks
         assert chunks.shape == (-(-taps.size // m_sub), 2 * m_sub)
         assert np.array_equal(chunks[:, ::2], chunks[:, 1::2])
@@ -447,6 +451,8 @@ class TestFbmcWindow:
         return a, x, slice(2 * k, n_cols - 2 * k), window
 
     def test_synthesis_range_is_the_sliced_signal(self, bank):
+        # M=16 takes the matrix-product form, M=64 the FFT form
+        assert bank.fft == (bank.grid.subcarriers == 64)
         a, _, _, window = self.frame(bank)
         full = fbmc_synthesize(a, bank)
         length = full.shape[1]
