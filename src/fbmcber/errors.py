@@ -14,7 +14,7 @@ class UnsupportedSpreading(FbmcBerError):
 
 
 class DegenerateFilter(FbmcBerError):
-    """Filter has no energy and cannot be normalized."""
+    """Filter has a non-finite tap, or no energy and cannot be normalized."""
 
 
 class ConstellationError(FbmcBerError):

@@ -34,7 +34,7 @@ EGF_ALPHA_MAX = 2.0
 class PrototypeFilter:
     """Real prototype filter with overlap factor K.
 
-    coeffs   -- real taps, length L_p
+    coeffs   -- real, finite taps, length L_p
     overlap  -- overlap factor K (symbol periods spanned is about K)
     family   -- 'martin', 'egf', 'rect' or 'custom'
     alpha    -- EGF spreading factor (None for other families)
@@ -47,6 +47,8 @@ class PrototypeFilter:
 
     def __post_init__(self):
         taps = np.asarray(self.coeffs, dtype=np.float64).copy()
+        if not np.isfinite(taps).all():
+            raise DegenerateFilter("filter taps must be finite (no NaN or inf)")
         taps.setflags(write=False)
         object.__setattr__(self, "coeffs", taps)
 

@@ -7,8 +7,8 @@ the quarter-turn phase map phi[m, n] = (pi/2)(m + n) it reduces to
     eps[m, n] = cos(phi[m, n]) * sum_k p[k] * p[k - n*M/2] * cos(pi*m*d_k/M)
 
 with the integer d_k = 2k - (L_p - 1).  Each n folds its overlap into 2M
-bins by d_k mod 2M; one product with the table cos(pi*((r*m) mod 2M)/M), an
-exactly mirrored long-double quarter wave, gives every element of the set.
+bins f[r] by d_k mod 2M, and sum_r f[r] cos(pi*r*m/M) for m < M is the real
+part of the row's length-2M DFT: one real FFT gives every element of the set.
 cos(phi) is one of {1, 0, -1}, applied exactly: odd m + n give exact zeros.
 eps[0, 0], the pulse energy, is the single dot product of the taps.
 """
@@ -74,33 +74,6 @@ class FbmcGrid:
         return -(-(self.filter.length - 1) // self.half_symbol) - 1
 
 
-def _cosine_sums(grid: FbmcGrid) -> np.ndarray:
-    """eps[m, n] / cos(phi) at [n + span, m] for |n| <= span = grid.time_span."""
-    taps, m_sub = grid.filter.coeffs, grid.subcarriers
-    span = grid.time_span
-    lp, bins = taps.size, 2 * m_sub
-    residue = (2 * np.arange(lp) - (lp - 1)) % bins
-    folds = np.empty((2 * span + 1, bins))
-    for row, n in enumerate(range(-span, span + 1)):
-        shift = n * grid.half_symbol
-        lo, hi = max(0, shift), min(lp, lp + shift)
-        overlap = taps[lo:hi] * taps[lo - shift : hi - shift]
-        folds[row] = np.bincount(residue[lo:hi], overlap, minlength=bins)
-    pi = np.arccos(np.longdouble(-1.0))
-    quarter = np.cos(np.arange(m_sub // 2) * pi / m_sub)
-    half = np.concatenate([quarter, [0.0], -quarter[:0:-1]]).astype(np.float64)
-    cycle = np.concatenate([half, -half])
-    basis = cycle[np.outer(np.arange(bins), np.arange(m_sub)) % bins]
-    # OpenBLAS spreads a product of about 1e6 multiply-adds or more over all
-    # cores, and its worker then spins on the other core for about 0.1 s;
-    # column blocks of at most 2**19 multiply-adds stay on this thread.
-    step = max(1, (1 << 19) // ((2 * span + 1) * bins))
-    sums = np.empty((2 * span + 1, m_sub))
-    for lo in range(0, m_sub, step):
-        np.matmul(folds, basis[:, lo : lo + step], out=sums[:, lo : lo + step])
-    return sums
-
-
 @dataclass(frozen=True)
 class InterferenceTable:
     """Interference elements of a grid, as the set-size formula counts them.
@@ -136,9 +109,17 @@ class InterferenceTable:
 
 def build_set(grid: FbmcGrid) -> InterferenceTable:
     """All interference elements allowed by support and parity, n outer."""
-    span = grid.time_span
-    sums = _cosine_sums(grid)
-    n, m = np.mgrid[-span : span + 1, 0 : grid.subcarriers]
+    taps, m_sub = grid.filter.coeffs, grid.subcarriers
+    span, lp, bins = grid.time_span, taps.size, 2 * m_sub
+    residue = (2 * np.arange(lp) - (lp - 1)) % bins
+    folds = np.empty((2 * span + 1, bins))
+    for row, n in enumerate(range(-span, span + 1)):
+        shift = n * grid.half_symbol
+        lo, hi = max(0, shift), min(lp, lp + shift)
+        overlap = taps[lo:hi] * taps[lo - shift : hi - shift]
+        folds[row] = np.bincount(residue[lo:hi], overlap, minlength=bins)
+    sums = np.fft.rfft(folds, axis=1).real[:, :m_sub]
+    n, m = np.mgrid[-span : span + 1, 0:m_sub]
     keep = ((m + n) % 2 == 0) & ((m != 0) | (n != 0))
     cos_phi = np.array(_COS_QUARTER)[(m + n) % 4]
     return InterferenceTable(m[keep], n[keep], (cos_phi * sums)[keep],

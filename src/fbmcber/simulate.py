@@ -374,9 +374,9 @@ class OfdmSystem:
                 * self.constellation.bits_per_symbol)
 
     def noise_density(self, gamma_b: float) -> float:
-        qam = self.constellation
-        cp_penalty = (self.subcarriers + self.n_cp) / self.subcarriers
-        return qam.symbol_energy * cp_penalty / (qam.bits_per_symbol * gamma_b)
+        """N0 of each PAM dimension at the SNR that ofdm_awgn evaluates."""
+        pam, cp_factor = _ofdm_args(self.qam_order, self.subcarriers, self.n_cp)
+        return pam.noise_density(cp_factor * gamma_b)
 
     def describe(self) -> dict:
         return {"system": "ofdm", "qam_order": self.qam_order,

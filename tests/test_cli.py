@@ -96,6 +96,24 @@ class TestFilterInfo:
         assert code == 0
         assert "65.2" in out
 
+    @pytest.mark.parametrize("command", [
+        ["filter-info"],
+        ["bep", "--system", "fbmc", "--kmax", "3", "--ebn0", "6"],
+    ], ids=["filter-info", "bep"])
+    def test_non_finite_taps_file_is_a_usage_error(self, capsys, tmp_path, command):
+        """A taps file with a nan line is refused before anything is written,
+        rather than giving nan BEPs or an SIR of nan dB."""
+        from fbmcber.filters import make_martin, save_taps
+
+        path = tmp_path / "bad.taps"
+        save_taps(make_martin(4, 16), path)
+        path.write_text(path.read_text() + "nan\n")
+        code, out, err = run_cli(capsys, *command, "--filter", f"file:{path}",
+                                 "--k", "4", "--out", str(tmp_path / "curve"))
+        assert code == USAGE_ERROR
+        assert "finite" in err and "nan" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.taps"]
+
 
 class TestBep:
     def test_pam_exact_matches_formula(self, capsys, tmp_path):

@@ -215,6 +215,17 @@ class TestTapsIo:
         with pytest.raises(DegenerateFilter):
             load_taps(path, overlap=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_taps_rejected(self, tmp_path, martin16, bad):
+        taps = martin16.coeffs.copy()
+        taps[7] = bad
+        with pytest.raises(DegenerateFilter):
+            PrototypeFilter(taps, 4, "custom")
+        path = tmp_path / "taps.txt"
+        path.write_text("".join(f"{t}\n" for t in taps))
+        with pytest.raises(DegenerateFilter):
+            load_taps(path, overlap=4)
+
     def test_immutable_taps(self, martin16):
         with pytest.raises(ValueError):
             martin16.coeffs[0] = 1.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_symmetric_filter, table_eps
 from oracles import inner_product, pulse
-from fbmcber.filters import make_egf, make_martin, make_rect
+from fbmcber.filters import PrototypeFilter, make_egf, make_martin, make_rect
 from fbmcber.interference import (
     NULL_THRESHOLD,
     FbmcGrid,
@@ -53,11 +53,21 @@ def _reference_sums(grid, precision):
 
 _EXTENDED = "longdouble" if np.finfo(np.longdouble).eps < 1e-18 else "mpmath"
 
+
+def _random_asymmetric_filter(m_sub, k=4, seed=20):
+    """Unit-energy random taps of length k*m_sub + 1 with no symmetry, as
+    only a file: filter can bring them."""
+    taps = np.random.default_rng(seed).normal(size=k * m_sub + 1)
+    return PrototypeFilter(taps / np.sqrt(np.dot(taps, taps)), k, "custom")
+
+
 _ORACLE_FILTERS = {
     "martin-m16": (16, lambda: make_martin(4, 16)),
     "rect-k4-m16": (16, lambda: make_rect(16, 4)),
     **{f"egf1-m256-L{lp}": (256, lambda lp=lp: make_egf(1.0, 4, 256, lp))
        for lp in (1023, 1024, 1025)},
+    **{f"asym-m{m}": (m, lambda m=m: _random_asymmetric_filter(m))
+       for m in (16, 64)},
 }
 
 

@@ -566,3 +566,8 @@ class TestEnergyPerBitConvention:
         gamma = 5.0
         base = OfdmSystem(64, 16, 0).noise_density(gamma)
         assert system.noise_density(gamma) == pytest.approx(base * 18.0 / 16.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, math.nan, -1.0])
+    def test_ofdm_noise_density_rejects_non_positive_snr(self, gamma):
+        with pytest.raises(ValueError, match="gamma_b must be positive"):
+            OfdmSystem(64, 16, 2).noise_density(gamma)

@@ -15,15 +15,21 @@ OUT_DIR/new:
             call (test, seed, config, and each point's BEP and z).
 
 Then it runs ``diff -r`` on the two directories and exits with its
-status: 0 when every output is identical.  A tree is a checkout root,
-with src/, tests/ and bench/; make one of a commit with
-``git archive <commit> | tar -x -C <dir>``.
+status: 0 when every output is identical.  For each file that differs it
+then prints the largest relative change among the float fields that
+differ, with its line, and how many integer fields differ; a file whose
+lines differ in more than their numbers is named as such.
+
+A tree is a checkout root, with src/, tests/ and bench/; make one of a
+commit with ``git archive <commit> | tar -x -C <dir>``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +38,8 @@ WORKLOAD_SEED = 1
 ACCEPTANCE = "Criterion5 or Criterion6 or Criterion7 or Criterion8"
 # Manifest fields that change from run to run; every other one is compared.
 RUN_FIELDS = ("timestamp", "stage_s")
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+INTEGER = re.compile(r"[-+]?\d+")
 
 
 def dump_bench(tree: Path, out: Path) -> int:
@@ -95,6 +103,38 @@ def dump_counts(tree: Path, out: Path) -> int:
     return int(status)
 
 
+def size_change(old: Path, new: Path) -> str:
+    """How far apart two files are: the largest relative change among their
+    float fields and the count of integer fields that differ."""
+    old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"{len(old_lines)} -> {len(new_lines)} lines"
+    worst, worst_line, floats, integers = 0.0, 0, 0, 0
+    for line, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if a == b:
+            continue
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            return f"line {line} differs in more than its numbers"
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+            if x == y:
+                continue
+            if INTEGER.fullmatch(x) and INTEGER.fullmatch(y):
+                integers += 1
+                continue
+            floats += 1
+            u, v = float(x), float(y)
+            if u == v:
+                rel = 0.0
+            elif math.isfinite(u) and math.isfinite(v):
+                rel = abs(u - v) / max(abs(u), abs(v))
+            else:
+                rel = math.inf
+            if rel >= worst:
+                worst, worst_line = rel, line
+    return (f"{floats} float fields differ, largest relative change {worst:.2g}"
+            f" (line {worst_line}); {integers} integer fields differ")
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--dump"]:
         tree, out = Path(argv[1]).resolve(), Path(argv[2]).resolve()
@@ -108,7 +148,12 @@ def main(argv: list[str]) -> int:
     for tree, side in ((old, "old"), (new, "new")):
         subprocess.run([sys.executable, __file__, "--dump", str(tree), str(out / side)],
                        check=True, cwd=tree)
-    return subprocess.run(["diff", "-r", str(out / "old"), str(out / "new")]).returncode
+    status = subprocess.run(["diff", "-r", str(out / "old"), str(out / "new")]).returncode
+    for path in sorted((out / "old").rglob("*")):
+        twin = out / "new" / path.relative_to(out / "old")
+        if path.is_file() and twin.is_file() and path.read_bytes() != twin.read_bytes():
+            print(f"{path.relative_to(out / 'old')}: {size_change(path, twin)}")
+    return status
 
 
 if __name__ == "__main__":
