@@ -7,8 +7,6 @@ channels, and a calibrated baseband simulator to validate them.
 """
 
 from .analytic import (
-    cho_weight,
-    cho_weights,
     db_to_linear,
     fbmc_awgn_approx,
     fbmc_awgn_exact,

@@ -3,12 +3,12 @@
 One kernel gives every curve: the Gray-coded PAM BEP averaged over all
 amplitude combinations of a truncated FBMC interference table, summed
 exactly over the grouped offset support of `enumeration`.  The exact
-forms weight the decision thresholds with the Cho-Yoon coefficients
-(Cho & Yoon, IEEE Trans. Commun. 50(7), 2002), merged per threshold;
-the approximate forms keep the adjacent-symbol term only.  Single-carrier
-PAM is the empty table, and square-QAM OFDM is the exact PAM form at the
-cyclic-prefix-reduced SNR.  Channels are AWGN and frequency-flat
-Rayleigh fading.
+forms weight each decision threshold by the change in the Hamming
+distance of the Gray codewords on either side of it, the rule by which
+the simulator counts bit errors; the approximate forms keep the
+adjacent-symbol term only.  Single-carrier PAM is the empty table, and
+square-QAM OFDM is the exact PAM form at the cyclic-prefix-reduced SNR.
+Channels are AWGN and frequency-flat Rayleigh fading.
 
 gamma_b is the normalized SNR (bit energy over noise density), linear
 scale throughout; dB conversion happens at the CLI boundary.
@@ -25,9 +25,6 @@ from .constellations import PamConstellation, QamConstellation
 from .errors import ConstellationError
 
 __all__ = [
-    "cho_weight",
-    "cho_weights",
-    "collapsed_cho_weights",
     "pam_awgn_approx",
     "pam_awgn_exact",
     "pam_rayleigh_approx",
@@ -48,54 +45,31 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
 
 
-def cho_weight(i: int, k: int, order: int) -> int:
-    """Signed weight w[i, k, N] of the exact Gray-coded PAM BEP sum."""
-    pam = PamConstellation(order)
-    if not 1 <= k <= pam.bits_per_symbol:
-        raise IndexError(f"bit index k={k} outside [1, {pam.bits_per_symbol}]")
-    imax = (order - (order >> k)) - 1
-    if not 0 <= i <= imax:
-        raise IndexError(f"term index i={i} outside [0, {imax}]")
-    half = 1 << (k - 1)
-    lead = (i * half) // order
-    # floor(i*half/order + 1/2) without float rounding
-    shifted = (2 * i * half + order) // (2 * order)
-    return (-1) ** lead * (half - shifted)
-
-
-def cho_weights(order: int):
-    """All (i, k, weight) triples for the exact PAM BEP of this order."""
-    pam = PamConstellation(order)
-    out = []
-    for k in range(1, pam.bits_per_symbol + 1):
-        for i in range(order - (order >> k)):
-            out.append((i, k, cho_weight(i, k, order)))
-    return out
-
-
-def collapsed_cho_weights(order: int):
-    """Thresholds 2i+1 with their summed weights (zero sums dropped).
-
-    The double (k, i) sum only enters through the threshold 2i+1, so
-    merging equal thresholds cuts the kernel evaluations roughly 3x.
-    """
-    acc: dict[int, int] = {}
-    for i, _, w in cho_weights(order):
-        acc[2 * i + 1] = acc.get(2 * i + 1, 0) + w
-    thetas = np.array(sorted(t for t, w in acc.items() if w != 0), dtype=np.float64)
-    weights = np.array([acc[int(t)] for t in thetas], dtype=np.float64)
-    return thetas, weights
-
-
 def _snr_scale(order: int) -> float:
     """6 log2(N) / (N^2 - 1): squared Q argument per unit gamma_b."""
     pam = PamConstellation(order)
     return 6.0 * pam.bits_per_symbol / (order**2 - 1)
 
 
-def _approx_weights(order: int):
-    """The adjacent-symbol term: threshold 1 with weight N - 1."""
-    return np.array([1.0]), np.array([float(order - 1)])
+def _gray_weights(order: int):
+    """Thresholds theta and weights w of the exact Gray PAM BEP.
+
+    Sent level a crosses the decision boundary between levels k - 1 and
+    k at theta = |2(k - a) - 1| half level spacings, and the bit errors
+    then step by the change of the Hamming distance to a's Gray codeword,
+    taken away from a.  The steps are summed per theta over every (a, k)
+    and halved, zero sums dropped; the first entry, theta = 1 with
+    w = N - 1, is the adjacent-symbol term.
+    """
+    index = np.arange(order)
+    codes = index ^ (index >> 1)
+    # bitwise_count gives uint8, whose differences would wrap around
+    dist = np.bitwise_count(codes[:, None] ^ codes).astype(np.int64)
+    a, k = index[:, None], index[None, 1:]
+    steps = np.where(k > a, 1, -1) * (dist[:, 1:] - dist[:, :-1])
+    sums = np.bincount(np.abs(2 * (k - a) - 1).ravel(), weights=steps.ravel())
+    thetas = np.flatnonzero(sums)
+    return thetas.astype(np.float64), sums[thetas] / 2.0
 
 
 def _bep(order, eps, gamma_b, kind, form, budget=enumeration.DEFAULT_BUDGET):
@@ -103,15 +77,16 @@ def _bep(order, eps, gamma_b, kind, form, budget=enumeration.DEFAULT_BUDGET):
 
     2 / (N log2 N) times the offset mean of sum_theta w * K(scale *
     (theta - x)), with K the `kind` kernel of `enumeration` and (theta,
-    w) the collapsed Cho-Yoon weights ('exact') or the adjacent-symbol
-    term ('approx').  An empty `eps` is single-carrier PAM.
+    w) all of `_gray_weights` ('exact') or its adjacent-symbol term
+    ('approx').  An empty `eps` is single-carrier PAM.
     """
     pam = PamConstellation(order)
     gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
     if not np.all(gamma > 0):  # NaN fails too
         raise ValueError("gamma_b must be positive")
-    weigh = collapsed_cho_weights if form == "exact" else _approx_weights
-    thetas, weights = weigh(order)
+    thetas, weights = _gray_weights(order)
+    if form != "exact":
+        thetas, weights = thetas[:1], weights[:1]
     scales = np.sqrt(0.5 * _snr_scale(order) * gamma)
     means = enumeration.reduce_offsets(
         eps, order, scales, thetas, weights, kind, budget=budget,

@@ -227,7 +227,8 @@ def save_taps(filt: PrototypeFilter, path):
 
 
 def load_taps(path, overlap: int) -> PrototypeFilter:
-    """Read a one-tap-per-line filter file; family is 'custom'."""
+    """Read a one-tap-per-line filter file, scaled to unit energy;
+    family is 'custom'."""
     taps = []
     with open(path) as fh:
         for line in fh:
@@ -236,4 +237,4 @@ def load_taps(path, overlap: int) -> PrototypeFilter:
                 taps.append(float(line))
     if not taps:
         raise DegenerateFilter(f"no taps found in {path}")
-    return PrototypeFilter(np.array(taps), overlap, "custom")
+    return normalize_energy(PrototypeFilter(np.array(taps), overlap, "custom"))

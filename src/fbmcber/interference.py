@@ -57,6 +57,10 @@ class FbmcGrid:
                 f"filter length {self.filter.length} incompatible with "
                 f"K={k}, M={m} (expected K*M-1, K*M or K*M+1)"
             )
+        energy = self.filter.energy()
+        if abs(energy - 1.0) > 1e-9:
+            raise ValueError(f"filter taps need unit energy, got {energy!r} "
+                             f"(see filters.normalize_energy)")
 
     @property
     def half_symbol(self) -> int:

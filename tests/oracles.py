@@ -6,7 +6,10 @@ shifted pulses sampled on a common axis, not the folded cosine sums of
 `fbmcber.interference.build_set`, the PAM levels and their Gray
 codewords are tables, not the arithmetic of `fbmcber.modem.pam_map`
 and `pam_demap`, and bit errors are counted on the bits shifted out of
-each codeword, not on the Hamming distance of two codewords.
+each codeword, not on the Hamming distance of two codewords.  The Gray
+PAM BEP has two references besides `fbmcber.analytic`'s weights: Cho and
+Yoon's closed-form coefficients (IEEE Trans. Commun. 50(7), 2002), and a
+brute-force sum over every sent level and decision region.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
+from fbmcber.constellations import PamConstellation
 from fbmcber.interference import FbmcGrid
 
 
@@ -88,3 +92,78 @@ def bit_errors(sent, decided, bits_per_symbol: int) -> np.ndarray:
     wrong = (codeword_bits(sent, bits_per_symbol)
              != codeword_bits(decided, bits_per_symbol))
     return np.count_nonzero(wrong.reshape(frames, -1), axis=1)
+
+
+def cho_weight(i: int, k: int, order: int) -> int:
+    """Signed weight w[i, k, N] of the exact Gray-coded PAM BEP sum."""
+    pam = PamConstellation(order)
+    if not 1 <= k <= pam.bits_per_symbol:
+        raise IndexError(f"bit index k={k} outside [1, {pam.bits_per_symbol}]")
+    imax = (order - (order >> k)) - 1
+    if not 0 <= i <= imax:
+        raise IndexError(f"term index i={i} outside [0, {imax}]")
+    half = 1 << (k - 1)
+    lead = (i * half) // order
+    # floor(i*half/order + 1/2) without float rounding
+    shifted = (2 * i * half + order) // (2 * order)
+    return (-1) ** lead * (half - shifted)
+
+
+def cho_weights(order: int):
+    """All (i, k, weight) triples for the exact PAM BEP of this order."""
+    pam = PamConstellation(order)
+    out = []
+    for k in range(1, pam.bits_per_symbol + 1):
+        for i in range(order - (order >> k)):
+            out.append((i, k, cho_weight(i, k, order)))
+    return out
+
+
+def collapsed_cho_weights(order: int):
+    """Thresholds 2i+1 with their summed weights (zero sums dropped).
+
+    The double (k, i) sum only enters through the threshold 2i+1, so
+    merging equal thresholds cuts the kernel evaluations roughly 3x.
+    """
+    acc: dict[int, int] = {}
+    for i, _, w in cho_weights(order):
+        acc[2 * i + 1] = acc.get(2 * i + 1, 0) + w
+    thetas = np.array(sorted(t for t, w in acc.items() if w != 0), dtype=np.float64)
+    weights = np.array([acc[int(t)] for t in thetas], dtype=np.float64)
+    return thetas, weights
+
+
+def region_sum_bep(order: int, gammas, kind: str) -> np.ndarray:
+    """Gray PAM BEP as 1/(N log2 N) sum_a sum_j d_H(a, j) P(decide j | a).
+
+    Level a sits at 2a + 1 - N and decision region j spans [2j - N,
+    2j + 2 - N], the end regions reaching to infinity.  P(decide j | a)
+    is the tail beyond the region's near boundary minus the tail beyond
+    its far one, both on the side away from a, so the small regions of
+    a high SNR keep their digits.  Tails are q_function for AWGN and the
+    textbook Rayleigh tail (1 - sqrt(x / (1 + x))) / 2, x = t^2 snr / 2,
+    taken in its rationalized form; d_H counts the differing bits of the
+    two Gray codewords one by one.
+    """
+    nb = int(math.log2(order))
+    snr = 6.0 * nb / (order**2 - 1) * np.asarray(gammas, dtype=np.float64)
+
+    def tail(t):
+        """Probability that the noise exceeds t half level spacings."""
+        if kind == "awgn":
+            return q_function(t * np.sqrt(snr))
+        x = 0.5 * t * t * snr
+        return 0.5 / ((1.0 + x) * (1.0 + np.sqrt(x / (1.0 + x))))
+
+    tails = [tail(t) for t in range(2 * order)]
+    codes = gray_codes(order)
+    total = np.zeros_like(snr)
+    for a in range(order):
+        for j in range(order):
+            if j == a:
+                continue
+            near = 2 * abs(j - a) - 1
+            far = 0.0 if j in (0, order - 1) else tails[near + 2]
+            flips = bin(int(codes[a] ^ codes[j])).count("1")
+            total += flips * (tails[near] - far)
+    return total / (order * nb)

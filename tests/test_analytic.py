@@ -7,7 +7,13 @@ import pytest
 from fbmcber import analytic as an
 from fbmcber.errors import ConstellationError
 from fbmcber.interference import InterferenceTable, truncate
-from oracles import q_function
+from oracles import (
+    cho_weight,
+    cho_weights,
+    collapsed_cho_weights,
+    q_function,
+    region_sum_bep,
+)
 
 # High-precision reference values (mpmath, 40 digits).
 Q_ORACLE = {
@@ -38,7 +44,7 @@ def cho_yoon_reference(order, gammas, kind, form="exact"):
     nb = int(math.log2(order))
     gammas = np.asarray(gammas, dtype=np.float64)
     snr = 6.0 * nb / (order**2 - 1) * gammas
-    terms = (an.cho_weights(order) if form == "exact"
+    terms = (cho_weights(order) if form == "exact"
              else [(0, 1, order - 1)])
     total = np.zeros_like(gammas)
     for i, _, w in terms:
@@ -80,32 +86,50 @@ class TestQFunction:
 
 class TestChoWeights:
     def test_bpsk(self):
-        assert an.cho_weight(0, 1, 2) == 1
-        assert an.cho_weights(2) == [(0, 1, 1)]
+        assert cho_weight(0, 1, 2) == 1
+        assert cho_weights(2) == [(0, 1, 1)]
 
     def test_pam4(self):
-        w = {(i, k): v for i, k, v in an.cho_weights(4)}
+        w = {(i, k): v for i, k, v in cho_weights(4)}
         assert [w[(i, 1)] for i in range(2)] == [1, 1]
         assert [w[(i, 2)] for i in range(3)] == [2, 1, -1]
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            an.cho_weight(0, 0, 4)
+            cho_weight(0, 0, 4)
         with pytest.raises(IndexError):
-            an.cho_weight(0, 3, 4)
+            cho_weight(0, 3, 4)
         with pytest.raises(IndexError):
-            an.cho_weight(2, 1, 4)
+            cho_weight(2, 1, 4)
 
     def test_collapsed_preserves_totals(self):
         # The collapsed (threshold, weight) pairs must reproduce the raw
         # double sum for an arbitrary smooth kernel.
         for order in (2, 4, 8, 16):
-            thetas, weights = an.collapsed_cho_weights(order)
+            thetas, weights = collapsed_cho_weights(order)
             for c in (0.3, 1.7):
                 raw = sum(v * math.exp(-c * (2 * i + 1))
-                          for i, _, v in an.cho_weights(order))
+                          for i, _, v in cho_weights(order))
                 merged = sum(w * math.exp(-c * t) for t, w in zip(thetas, weights))
                 assert merged == pytest.approx(raw, rel=1e-14)
+
+
+class TestGrayWeights:
+    """The package's weights against the two Gray PAM references."""
+
+    @pytest.mark.parametrize("order", [2 ** b for b in range(1, 8)])
+    def test_equal_collapsed_cho_weights(self, order):
+        thetas, weights = an._gray_weights(order)
+        want_thetas, want_weights = collapsed_cho_weights(order)
+        assert np.array_equal(thetas, want_thetas)
+        assert np.array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("order", [2 ** b for b in range(1, 7)])
+    def test_pam_exact_equals_region_sum(self, order, kind):
+        fn = an.pam_awgn_exact if kind == "awgn" else an.pam_rayleigh_exact
+        want = region_sum_bep(order, GAMMA_GRID, kind)
+        np.testing.assert_allclose(fn(order, GAMMA_GRID), want, rtol=1e-12, atol=0)
 
 
 class TestPamClosedForms:

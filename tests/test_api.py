@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,40 @@ def test_module_all_resolves(name):
 
 def test_modules_are_found():
     assert {"analytic", "modem", "simulate"} <= set(MODULES)
+
+
+PUBLIC = {
+    # analytic
+    "db_to_linear", "pam_awgn_approx", "pam_awgn_exact", "pam_rayleigh_approx",
+    "pam_rayleigh_exact", "ofdm_awgn", "ofdm_rayleigh", "fbmc_awgn_approx",
+    "fbmc_awgn_exact", "fbmc_rayleigh_approx", "fbmc_rayleigh_exact",
+    # constellations, enumeration
+    "PamConstellation", "QamConstellation", "offset_support",
+    # errors
+    "FbmcBerError", "ConstellationError", "DegenerateFilter",
+    "EnumerationBudgetExceeded", "GridError", "RangeError", "ShapeError",
+    "UnsupportedFilterOrder", "UnsupportedSpreading",
+    # filters
+    "PrototypeFilter", "make_martin", "make_egf", "make_rect", "martin_gains",
+    "normalize_energy", "save_taps", "load_taps",
+    # interference
+    "FbmcGrid", "InterferenceTable", "build_set", "export_table_csv",
+    "ordered_magnitudes", "set_size", "sir", "truncate",
+    # modem
+    "pam_codewords", "pam_map", "pam_demap", "qam_map", "qam_demap",
+    "fbmc_synthesize", "fbmc_analyze_frame",
+    # simulate
+    "ChannelModel", "FbmcSystem", "OfdmSystem", "PamSystem", "SimPoint",
+    "SimResult", "StopRule", "run_ber", "z_scores",
+}
+
+
+def test_public_names():
+    """The package namespace, submodules aside: a name added or removed
+    shows up here."""
+    names = {name for name, value in vars(fbmcber).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC
 
 
 COLD_RUN = """

@@ -96,6 +96,29 @@ class TestFilterInfo:
         assert code == 0
         assert "65.2" in out
 
+    def test_taps_file_is_scaled_to_unit_energy(self, capsys, tmp_path):
+        """Martin taps doubled (exact in binary) give the unit file's curve
+        byte for byte, and a simulation that agrees with it."""
+        from fbmcber.filters import make_martin
+
+        martin = make_martin(4, 16)
+        for name, scale in (("unit", 1.0), ("double", 2.0)):
+            (tmp_path / f"{name}.taps").write_text(
+                "".join(f"{t:.17g}\n" for t in scale * martin.coeffs))
+            code, _, _ = run_cli(capsys, "bep", "--filter",
+                                 f"file:{tmp_path / name}.taps", "--k", "4",
+                                 "--ebn0", "0:12:3", "--out",
+                                 str(tmp_path / f"bep-{name}"))
+            assert code == 0
+        assert ((tmp_path / "bep-double.csv").read_bytes()
+                == (tmp_path / "bep-unit.csv").read_bytes())
+        code, _, _ = run_cli(capsys, "compare", "--filter",
+                             f"file:{tmp_path / 'double'}.taps", "--k", "4",
+                             "--kmax", "3", "--ebn0", "6", "--seed", "1",
+                             "--min-errors", "200", "--max-bits", "200000",
+                             "--out", str(tmp_path / "cmp"))
+        assert code == 0
+
     @pytest.mark.parametrize("command", [
         ["filter-info"],
         ["bep", "--system", "fbmc", "--kmax", "3", "--ebn0", "6"],

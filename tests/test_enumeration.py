@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pam_levels
+from oracles import collapsed_cho_weights, pam_levels
 from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber import enumeration
 from fbmcber.enumeration import offset_support, reduce_offsets, support_size
@@ -88,15 +88,14 @@ class TestGroupedReduction:
     @pytest.mark.parametrize("form", ["approx", "exact"])
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_matches_brute_force(self, kind, form, monkeypatch):
-        from fbmcber import analytic as an
-
         # 7 * 7 * 4 = 196 support points, summed in blocks of about 50
         # kernel arguments: 12 blocks of 17 points at the exact form's three
         # thresholds, 4 of 49 at the approximation's one.
         monkeypatch.setattr(enumeration, "BLOCK_ARGS", 50)
 
-        thetas, weights = (an._approx_weights(self.ORDER) if form == "approx"
-                           else an.collapsed_cho_weights(self.ORDER))
+        thetas, weights = collapsed_cho_weights(self.ORDER)
+        if form == "approx":  # the adjacent-symbol term
+            thetas, weights = thetas[:1], weights[:1]
         levels = pam_levels(self.ORDER)
         offsets = np.array([
             np.dot(amps, self.EPS)

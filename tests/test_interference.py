@@ -356,3 +356,10 @@ class TestGridValidation:
     def test_filter_length_mismatch(self, martin16):
         with pytest.raises(ValueError):
             FbmcGrid(32, martin16)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
+    def test_taps_need_unit_energy(self, martin16, scale):
+        """Every BEP form and the demapper assume eps[0, 0] = 1."""
+        filt = PrototypeFilter(scale * martin16.coeffs, 4, "custom")
+        with pytest.raises(ValueError, match="unit energy"):
+            FbmcGrid(16, filt)
