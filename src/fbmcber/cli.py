@@ -26,7 +26,14 @@ import scipy
 
 from . import __version__, analytic, enumeration
 from .errors import EnumerationBudgetExceeded, FbmcBerError, GridError
-from .filters import load_taps, make_egf, make_martin, make_rect, save_taps
+from .filters import (
+    _read_taps,
+    load_taps,
+    make_egf,
+    make_martin,
+    make_rect,
+    save_taps,
+)
 from .interference import (
     FbmcGrid,
     build_set,
@@ -97,24 +104,33 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
 
 
 def _build_filter(args):
+    """The prototype filter of args and its manifest fields: none for a
+    designed filter; for a taps file, "taps_file" with the path, the
+    energy of the taps as written and the scale that load_taps applied."""
     m, k = args.m, args.k
     if args.filter == "martin":
-        return make_martin(k, m)
+        return make_martin(k, m), {}
     if args.filter == "egf":
         if args.alpha is None:
             raise ValueError("--alpha required for the EGF family")
-        return make_egf(args.alpha, k, m)
+        return make_egf(args.alpha, k, m), {}
     if args.filter == "rect":
-        return make_rect(m, k)
+        return make_rect(m, k), {}
     if args.filter.startswith("file:"):
-        return load_taps(args.filter[5:], overlap=k)
+        path = args.filter[5:]
+        filt = load_taps(path, overlap=k)
+        taps = _read_taps(path)
+        energy = float(np.dot(taps, taps))
+        return filt, {"taps_file": {"path": path, "energy": energy,
+                                    "scale": 1.0 / math.sqrt(energy)}}
     raise ValueError(f"unknown filter {args.filter!r}")
 
 
 def _fbmc_filter(args, stages):
-    """The prototype filter of an FBMC command, designed once per command."""
+    """The prototype filter of an FBMC command, designed once per command,
+    and its manifest fields; None and {} for other systems."""
     if args.system != "fbmc":
-        return None
+        return None, {}
     return _timed(stages, "filter_design", _build_filter, args)
 
 
@@ -154,12 +170,16 @@ def cmd_filter_info(args) -> int:
     if args.decay < 0:
         raise ValueError(f"--decay must be >= 0, got {args.decay}")
     stages = {}
-    filt = _timed(stages, "filter_design", _build_filter, args)
+    filt, source = _timed(stages, "filter_design", _build_filter, args)
     table = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
     mags = ordered_magnitudes(table)
     print(f"filter          {filt.label}")
     print(f"taps            {filt.length} (K={filt.overlap}, M={args.m})")
     print(f"pulse energy    {filt.energy():.15f}")
+    if source:
+        taps_file = source["taps_file"]
+        print(f"file energy     {taps_file['energy']:.15f}"
+              f"  (taps scaled by {taps_file['scale']:.15g})")
     print(f"|E| (formula)   {set_size(args.m, filt.length)}")
     print(f"|E| (table)     {len(table)}"
           f"  numerically null: {int(table.null_mask().sum())}")
@@ -173,7 +193,7 @@ def cmd_filter_info(args) -> int:
         export_table_csv(table, args.out + ".csv")
         _write_manifest(args.out + ".manifest.json", {
             "command": "filter-info", "filter": filt.label, "m": args.m,
-            "k": filt.overlap, "length": filt.length,
+            "k": filt.overlap, "length": filt.length, **source,
             "sir_db": sir(table), "set_size": len(table), "stage_s": stages,
         })
         print(f"table written to {args.out}.csv")
@@ -217,8 +237,8 @@ def _analytic_curve(args, ebn0_db, filt, stages):
 def cmd_bep(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
-    probs, fields = _analytic_curve(args, ebn0_db, _fbmc_filter(args, stages),
-                                    stages)
+    filt, source = _fbmc_filter(args, stages)
+    probs, fields = _analytic_curve(args, ebn0_db, filt, stages)
     csv_path, manifest_path = _out_paths(args, "bep")
     kmax = "" if fields["kmax"] is None else fields["kmax"]
     with open(csv_path, "w") as fh:
@@ -227,8 +247,8 @@ def cmd_bep(args) -> int:
             fh.write(f"{db:.6g},{bep:.14e},{fields['model']},"
                      f"{fields['filter']},{kmax}\n")
     _write_manifest(manifest_path, {
-        "command": "bep", **fields, "ebn0_db": list(map(float, ebn0_db)),
-        "stage_s": stages,
+        "command": "bep", **fields, **source,
+        "ebn0_db": list(map(float, ebn0_db)), "stage_s": stages,
     })
     print(f"wrote {csv_path}")
     return 0
@@ -254,12 +274,13 @@ def _simulated(args, ebn0_db, filt, stages) -> SimResult:
 def cmd_simulate(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
-    result = _simulated(args, ebn0_db, _fbmc_filter(args, stages), stages)
+    filt, source = _fbmc_filter(args, stages)
+    result = _simulated(args, ebn0_db, filt, stages)
     csv_path, manifest_path = _out_paths(args, "sim")
     result.to_csv(csv_path)
     _write_manifest(manifest_path, {
         "command": "simulate", "seed": result.seed, "config": result.config,
-        "stage_s": stages,
+        **source, "stage_s": stages,
         "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path}")
@@ -269,7 +290,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     ebn0_db = _parse_grid(args.ebn0)
     stages = {}
-    filt = _fbmc_filter(args, stages)
+    filt, source = _fbmc_filter(args, stages)
     probs, fields = _analytic_curve(args, ebn0_db, filt, stages)
 
     if args.sim_csv:
@@ -294,7 +315,8 @@ def cmd_compare(args) -> int:
     worst = float(np.max(np.abs(zs)))
     _write_manifest(manifest_path, {
         "command": "compare", "model": fields["model"], "seed": result.seed,
-        "config": result.config, "worst_abs_z": worst, "stage_s": stages,
+        "config": result.config, **source, "worst_abs_z": worst,
+        "stage_s": stages,
         "points": [dataclasses.asdict(p) for p in result.points],
     })
     print(f"wrote {csv_path} (worst |z| = {worst:.2f})")

@@ -229,6 +229,12 @@ def save_taps(filt: PrototypeFilter, path):
 def load_taps(path, overlap: int) -> PrototypeFilter:
     """Read a one-tap-per-line filter file, scaled to unit energy;
     family is 'custom'."""
+    return normalize_energy(PrototypeFilter(_read_taps(path), overlap, "custom"))
+
+
+def _read_taps(path) -> np.ndarray:
+    """The taps of a filter file as written; '#' lines and blank lines
+    are skipped."""
     taps = []
     with open(path) as fh:
         for line in fh:
@@ -237,4 +243,4 @@ def load_taps(path, overlap: int) -> PrototypeFilter:
                 taps.append(float(line))
     if not taps:
         raise DegenerateFilter(f"no taps found in {path}")
-    return normalize_energy(PrototypeFilter(np.array(taps), overlap, "custom"))
+    return np.array(taps)

@@ -2,13 +2,14 @@
 
 Gray PAM bit mapping, with square QAM as PAM over the interleaved
 (re, im) parts of its symbols, and FBMC synthesis and analysis of frame
-batches in polyphase form: per column parity one product with a
-`PulseBank`'s M x M root-of-unity matrix, and one multiply-add per chunk
-of M prototype taps.  The product is a real matrix product while it stays
-on one OpenBLAS thread (M <= 44), and a twisted length-M FFT above, where
-a matrix product would wake OpenBLAS's worker threads.  Real PAM
-amplitudes in, real decision statistics Re<x|p[m,n]> out.  The
-cyclic-prefix OFDM chain is part of `simulate.OfdmSystem`.
+batches in polyphase form, from a `PulseBank`'s two M x M root-of-unity
+matrices and its chunks of M prototype taps.  Up to M=32 the chunks are
+folded into the matrices, so each column parity of synthesis and of
+analysis is one real matrix product, run in parts small enough to stay
+on one OpenBLAS thread; above, each parity takes a twisted length-M FFT
+and one multiply-add per chunk.  Real PAM amplitudes in, real decision
+statistics Re<x|p[m,n]> out.  The cyclic-prefix OFDM chain is part of
+`simulate.OfdmSystem`.
 The mapping works on Gray codewords: `pam_codewords` packs LSB-first
 groups of N_b bits into codewords, `pam_map` gives the level of each
 codeword and `pam_demap` the codeword of the nearest level, so the bit
@@ -140,15 +141,14 @@ def qam_demap(values, qam: QamConstellation) -> np.ndarray:
 # given; the simulator keeps its batches near the cache by passing them
 # in blocks.
 
-# Rows (symbol columns of one parity) per real product.  OpenBLAS spreads a
-# product of about 1e6 multiply-adds or more over all cores; on 2 cores a
-# 1560 x 16 x 130 product (65 frames of 48 columns at M=16) gained nothing
-# from the second thread and its time varied several-fold from call to call,
-# and after each threaded product the worker spins on the other core for
-# about 0.1 s, taking it from the noise helper and from whatever runs next.
-# 256 rows keep the product of M <= 44 on one thread; a bank of larger M
-# takes the FFT form, which calls no BLAS.
-PRODUCT_ROWS = 256
+# OpenBLAS spreads a product of about 1e6 multiply-adds or more over all
+# cores; on 2 cores a 1560 x 16 x 130 product (65 frames of 48 columns at
+# M=16) gained nothing from the second thread and its time varied
+# several-fold from call to call, and after each threaded product the worker
+# spins on the other core for about 0.1 s, taking it from the noise helper
+# and from whatever runs next.  So every product runs in parts of fewer
+# multiply-adds.
+_PART_MACS = 1_000_000
 
 
 class PulseBank:
@@ -167,22 +167,26 @@ class PulseBank:
         exp(2j*pi*m*j/M), so a product with period[r] is an inverse DFT of
         the rows times twist[r], and one with its adjoint a DFT times the
         conjugate twist.
-    fft: whether the products take the FFT form; they do when a product of
-        PRODUCT_ROWS rows with period[r] would reach the 1e6 multiply-adds
-        at which OpenBLAS wakes its worker threads (M >= 46).
+    fft: whether the modem takes the FFT form (M > 32) rather than the
+        matrix form (M <= 32).
     chunks: the (C, 2M) taps p[q*M + i], C = ceil(L_p / M), each repeated
         for the real and the imaginary part and zero past L_p.
 
-    period is a transposed view of the row-major (2, 2M, M) array that the
-    analysis multiplies by, built on first use: a bank of the FFT form
-    never needs it (4 ms at M=256).  OpenBLAS rounds a row's product with
-    a transposed operand differently by the number of rows in the product,
-    and with a row-major one only in products of a few rows; so the window
-    of a frame that the simulator analyzes gives the frame's counted
-    statistics bit for bit.  The FFT transforms each row on its own, so
-    either way a frame's statistics do not depend on the batch.  Synthesis
-    needs no such invariance: a window synthesizes from the same product
-    rows as its whole frame.
+    The matrix form folds the chunks into the root-of-unity matrices, so
+    that each parity of synthesis and of analysis is one real matrix
+    product: `_synthesis[r]` stacks period[r] * chunks[C-1-c] for c < C,
+    and a window of C consecutive parity-r columns times it is one 2M-float
+    block of the signal; `_analysis[r]` is period[r].T with row q*2M + i
+    scaled by chunks[q, i], and a column's 2*L_p signal floats times it are
+    its statistics.  The FFT form transforms the rows and multiplies the
+    transforms by the chunks one chunk at a time.  The matrices are built
+    on first use: a bank of the FFT form never needs them (4 ms at M=256).
+    OpenBLAS rounds a row's product with these row-major matrices the same
+    in every product of two rows or more (a one-row product takes another
+    kernel), so the window of a frame that the simulator synthesizes and
+    analyzes gives the frame's samples and counted statistics bit for bit.
+    The FFT transforms each row on its own, so either way a frame's
+    statistics do not depend on the batch.
     """
 
     def __init__(self, grid: FbmcGrid):
@@ -198,7 +202,10 @@ class PulseBank:
                              for r in (0, 1)])
         self._roots = np.exp(1j * np.pi / m_sub * np.arange(2 * m_sub))
         self.twist = self._roots[self._k0 % (2 * m_sub)]
-        self.fft = PRODUCT_ROWS * 2 * m_sub * m_sub >= 1e6
+        # In the simulator's blocks the matrix form synthesized and
+        # analyzed in about 0.65x the FFT form's time at M=16 and 0.9x at
+        # M=32; the two tied at M=36 and M=40, and the FFT form won at M=44.
+        self.fft = m_sub > 32
         padded = np.zeros(-(-lp // m_sub) * m_sub)
         padded[:lp] = taps
         self.chunks = np.repeat(padded, 2).reshape(-1, 2 * m_sub)
@@ -218,6 +225,21 @@ class PulseBank:
     def period(self) -> np.ndarray:
         return self._adjoint.transpose(0, 2, 1)
 
+    @cached_property
+    def _synthesis(self) -> np.ndarray:
+        """(2, C*M, 2M): row block c of [r] is period[r] * chunks[C-1-c]."""
+        n_chunks, width = self.chunks.shape
+        blocks = self.period[:, None] * self.chunks[::-1, None, :]
+        return blocks.reshape(2, n_chunks * self.grid.subcarriers, width)
+
+    @cached_property
+    def _analysis(self) -> np.ndarray:
+        """(2, 2*L_p, M): [r] is period[r].T with row q*2M + i scaled by
+        chunks[q, i], cut to the 2*L_p rows of the taps."""
+        scaled = self._adjoint[:, None] * self.chunks[:, :, None]
+        scaled = scaled.reshape(2, -1, self.grid.subcarriers)
+        return np.ascontiguousarray(scaled[:, : 2 * self.grid.filter.length])
+
     @staticmethod
     def signs(n_symbols: int) -> np.ndarray:
         """Column signs (-1)**(n // 2) for n < n_symbols."""
@@ -225,17 +247,14 @@ class PulseBank:
 
     def combine(self, rows: np.ndarray, r: int) -> np.ndarray:
         """rows @ period[r]: the (R, 2M) interleaved samples of the real
-        combinations of parity r's complex rows given by the (R, M) rows."""
-        if not self.fft:
-            return _rows_product(rows, self.period[r])
+        combinations of parity r's complex rows given by the (R, M) rows,
+        as a twisted inverse DFT."""
         prod = np.fft.ifft(rows * self.twist[r], axis=1, norm="forward")
         return prod.view(np.float64)
 
     def project(self, rows: np.ndarray, r: int) -> np.ndarray:
         """rows @ period[r].T: the (R, M) real projections of the (R, 2M)
-        interleaved rows onto parity r's complex rows."""
-        if not self.fft:
-            return _rows_product(rows, self._adjoint[r])
+        interleaved rows onto parity r's complex rows, as a twisted DFT."""
         spectra = np.fft.fft(rows.view(np.complex128), axis=1)
         spectra *= self.twist[r].conj()
         return spectra.real
@@ -249,9 +268,10 @@ def _equal_slices(n: int, most: int) -> list[slice]:
 
 
 def _rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """rows @ matrix in equal parts of at most PRODUCT_ROWS rows."""
+    """rows @ matrix in equal parts of fewer than _PART_MACS multiply-adds."""
     out = np.empty((rows.shape[0], matrix.shape[1]))
-    for sl in _equal_slices(rows.shape[0], PRODUCT_ROWS):
+    most = max(1, (_PART_MACS - 1) // matrix.size)
+    for sl in _equal_slices(rows.shape[0], most):
         np.matmul(rows[sl], matrix, out=out[sl])
     return out
 
@@ -282,32 +302,74 @@ def fbmc_synthesize(symbols, bank: PulseBank, start: int = 0,
         raise RangeError(f"sample range [{start}, {stop}) is not within "
                          f"the signal's [0, {length})")
     signs = bank.signs(n_symbols)
-    m_sub, frames = grid.subcarriers, a.shape[0]
-    n_chunks, width = bank.chunks.shape
-    # Column n starts at float n*M of the (re, im) view and chunk q of its
-    # pulse 2q*M floats later.  Columns of one parity sit width = 2M floats
-    # apart, so a chunk's terms for all of them are one contiguous run; the
-    # chunks, tiled over the columns, scale a run in one pass.  Each run is
-    # clipped to the floats [first, last) of the sample range.
-    tiled = np.tile(bank.chunks, (n_symbols + 1) // 2)
-    first, last = 2 * start, 2 * stop
-    signal = np.zeros((frames, last - first))
+    first = 2 * start
+    signal = np.zeros((a.shape[0], 2 * stop - first))
+    add = _add_fft_parity if bank.fft else _add_matrix_parity
     for r in (0, 1):
         cols = a[:, :, r::2].transpose(0, 2, 1)
-        rows = np.empty(cols.shape)
-        np.multiply(cols, signs[r::2, None], out=rows)
-        run = cols.shape[1] * width
-        prod = bank.combine(rows.reshape(-1, m_sub), r).reshape(frames, run)
-        term = np.empty_like(prod)
-        for q in range(n_chunks):
-            at = (r + 2 * q) * m_sub
-            lo, hi = max(at, first) - at, min(at + run, last) - at
-            if lo >= hi:
-                continue
-            part = term[:, : hi - lo]
-            np.multiply(prod[:, lo:hi], tiled[q, lo:hi], out=part)
-            signal[:, at + lo - first : at + hi - first] += part
+        add(signal, cols, signs[r::2, None], bank, r, first)
     return signal.view(np.complex128)
+
+
+def _add_matrix_parity(signal, cols, signs, bank, r, first):
+    """Add the pulses of parity r's (B, J, M) columns cols * signs into the
+    signal's floats [first, first + signal.shape[1]) in the matrix form.
+
+    Output block b of the parity, the 2M floats from float (r + 2b)*M, is
+    the window of its columns b-C+1 .. b (zero outside 0 .. J-1) times
+    _synthesis[r].  Only the blocks that reach into the signal's floats
+    are formed, each window is copied once, and the blocks are one
+    contiguous run.
+    """
+    frames, n_cols, m_sub = cols.shape
+    n_chunks, width = bank.chunks.shape
+    last = first + signal.shape[1]
+    lo = max(0, (first - r * m_sub) // width)
+    hi = min(n_cols + n_chunks - 1, -(-(last - r * m_sub) // width))
+    if lo >= hi:
+        return
+    # the windows of blocks lo .. hi-1 read columns lo-C+1 .. hi-1
+    j0 = lo - n_chunks + 1
+    padded = np.zeros((frames, hi - j0, m_sub))
+    c0, c1 = max(j0, 0), min(hi, n_cols)
+    np.multiply(cols[:, c0:c1], signs[c0:c1], out=padded[:, c0 - j0 : c1 - j0])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded.reshape(frames, (hi - j0) * m_sub), n_chunks * m_sub, axis=1)
+    rows = np.ascontiguousarray(windows[:, ::m_sub])
+    rows = rows.reshape(frames * (hi - lo), n_chunks * m_sub)
+    run = _rows_product(rows, bank._synthesis[r])
+    run = run.reshape(frames, (hi - lo) * width)
+    at = (r + 2 * lo) * m_sub
+    skip, stop = max(at, first) - at, min(at + run.shape[1], last) - at
+    signal[:, at + skip - first : at + stop - first] += run[:, skip:stop]
+
+
+def _add_fft_parity(signal, cols, signs, bank, r, first):
+    """Add the pulses of parity r's (B, J, M) columns cols * signs into the
+    signal's floats [first, first + signal.shape[1]) in the FFT form.
+
+    Column j starts at float (r + 2j)*M and chunk q of its pulse 2q*M
+    floats later.  Columns of one parity sit width = 2M floats apart, so a
+    chunk's terms for all of them are one contiguous run; the chunks, tiled
+    over the columns, scale a run in one pass.  Each run is clipped to the
+    signal's floats.
+    """
+    frames, n_cols, m_sub = cols.shape
+    rows = np.empty(cols.shape)
+    np.multiply(cols, signs, out=rows)
+    run = n_cols * bank.chunks.shape[1]
+    prod = bank.combine(rows.reshape(-1, m_sub), r).reshape(frames, run)
+    tiled = np.tile(bank.chunks, n_cols)
+    term = np.empty_like(prod)
+    last = first + signal.shape[1]
+    for q in range(tiled.shape[0]):
+        at = (r + 2 * q) * m_sub
+        lo, hi = max(at, first) - at, min(at + run, last) - at
+        if lo >= hi:
+            continue
+        part = term[:, : hi - lo]
+        np.multiply(prod[:, lo:hi], tiled[q, lo:hi], out=part)
+        signal[:, at + lo - first : at + hi - first] += part
 
 
 def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
@@ -326,21 +388,34 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")
     m_sub, lp, frames = grid.subcarriers, grid.filter.length, x.shape[0]
-    n_chunks, width = bank.chunks.shape
     signs = bank.signs(n_symbols)
     # column n reads the 2*L_p floats from float n*M of the (re, im) view:
-    # one window view serves both parities, and the last, partial chunk
-    # reads only as far as the taps reach
+    # one window view serves both parities
     windows = np.lib.stride_tricks.sliding_window_view(
         x.view(np.float64), 2 * lp, axis=1)[:, ::m_sub][:, :n_symbols]
+    if bank.fft:
+        windows = _chunk_sums(windows, bank)
+    out = np.empty((frames, m_sub, n_symbols))
+    for r in (0, 1):
+        cols = np.ascontiguousarray(windows[:, r::2])
+        rows = cols.reshape(frames * cols.shape[1], cols.shape[2])
+        if bank.fft:
+            stats = bank.project(rows, r)
+        else:
+            stats = _rows_product(rows, bank._analysis[r])
+        stats = stats.reshape(frames, cols.shape[1], m_sub).transpose(0, 2, 1)
+        np.multiply(stats, signs[r::2], out=out[:, :, r::2])
+    return out
+
+
+def _chunk_sums(windows, bank):
+    """The (B, N, 2M) sums over q of the windows' chunks q times
+    bank.chunks[q]; the last, partial chunk reads only as far as the taps
+    reach."""
+    frames, n_symbols, floats = windows.shape
+    n_chunks, width = bank.chunks.shape
     full = (n_chunks - 1) * width
     whole = windows[..., :full].reshape(frames, n_symbols, n_chunks - 1, width)
     acc = np.einsum("bnqi,qi->bni", whole, bank.chunks[:-1])
-    acc[..., : 2 * lp - full] += windows[..., full:] * bank.chunks[-1, : 2 * lp - full]
-    out = np.empty((frames, m_sub, n_symbols))
-    for r in (0, 1):
-        rows = np.ascontiguousarray(acc[:, r::2])
-        stats = bank.project(rows.reshape(-1, width), r)
-        stats = stats.reshape(rows.shape[:2] + (m_sub,)).transpose(0, 2, 1)
-        np.multiply(stats, signs[r::2], out=out[:, :, r::2])
-    return out
+    acc[..., : floats - full] += windows[..., full:] * bank.chunks[-1, : floats - full]
+    return acc

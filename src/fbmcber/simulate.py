@@ -17,9 +17,10 @@ bit errors as the Hamming distances between the sent and the decided
 codewords.  Meanwhile one helper thread draws the noise of the blocks,
 each as one interleaved standard_normal array (complex for OFDM and
 FBMC), in block order and one block ahead of the calling thread; the
-thread is joined before simulate_frames returns.  The package issues no
-matrix product large enough for OpenBLAS to spread over all cores, so no
-idle OpenBLAS worker spins on the core that the helper draws on.  FBMC
+thread is joined before simulate_frames returns.  The modem runs its
+matrix products in parts of fewer multiply-adds than OpenBLAS spreads
+over all cores, and takes FFTs instead above M=32, so no idle OpenBLAS
+worker spins on the core that the helper draws on.  FBMC
 counts the columns 2K .. N-2K only, so it synthesizes, draws noise for
 and analyzes only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'

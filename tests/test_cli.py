@@ -119,6 +119,34 @@ class TestFilterInfo:
                              "--out", str(tmp_path / "cmp"))
         assert code == 0
 
+    def test_taps_file_energy_and_scale_are_recorded(self, capsys, tmp_path):
+        """A taps file's energy as written and the scale load_taps applied
+        are printed by filter-info and kept in every command's manifest;
+        a designed filter's manifest has no taps-file record."""
+        from fbmcber.filters import make_martin
+
+        path = tmp_path / "double.taps"
+        path.write_text("".join(f"{t:.17g}\n" for t in 2.0 * make_martin(4, 16).coeffs))
+        record = {"path": str(path), "energy": 4.0, "scale": 0.5}
+        sim = ["--ebn0", "6", "--seed", "1", "--min-errors", "50",
+               "--max-bits", "100000"]
+        for command in (["filter-info"], ["bep", "--kmax", "3", "--ebn0", "6"],
+                        ["simulate", *sim], ["compare", "--kmax", "3", *sim]):
+            base = str(tmp_path / command[0])
+            code, out, _ = run_cli(capsys, *command, "--filter", f"file:{path}",
+                                   "--k", "4", "--out", base)
+            assert code == 0
+            manifest = json.loads(Path(base + ".manifest.json").read_text())
+            assert manifest["taps_file"] == record
+            if command == ["filter-info"]:
+                assert "pulse energy    1.000000000000000\n" in out
+                assert ("file energy     4.000000000000000  (taps scaled by 0.5)\n"
+                        in out)
+        base = str(tmp_path / "martin")
+        code, _, _ = run_cli(capsys, "bep", "--kmax", "3", "--ebn0", "6", "--out", base)
+        assert code == 0
+        assert "taps_file" not in json.loads(Path(base + ".manifest.json").read_text())
+
     @pytest.mark.parametrize("command", [
         ["filter-info"],
         ["bep", "--system", "fbmc", "--kmax", "3", "--ebn0", "6"],

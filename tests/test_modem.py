@@ -307,84 +307,108 @@ class TestFbmcChain:
 
 
 class TestFbmcOracles:
-    """The matrix-product modem against separate code paths."""
+    """The modem against separate code paths, in the matrix form (M=16) and
+    the FFT form (M=64) of its products."""
 
-    @pytest.fixture(scope="class", params=[4 * 64 + 1, 4 * 64, 4 * 64 - 1],
-                    ids=["KM+1", "KM", "KM-1"])
-    def egf_grid(self, request):
-        return FbmcGrid(64, make_egf(1.0, 4, 64, length=request.param))
+    @pytest.fixture(scope="class", params=[
+        (64, 4 * 64 + 1), (64, 4 * 64), (64, 4 * 64 - 1),
+        (16, 4 * 16 + 1), (16, 4 * 16), (16, 4 * 16 - 1), (16, None),
+    ], ids=["KM+1", "KM", "KM-1", "m16-KM+1", "m16-KM", "m16-KM-1", "martin16"])
+    def oracle_grid(self, request):
+        m_sub, length = request.param
+        if length is None:
+            return FbmcGrid(m_sub, make_martin(4, m_sub))
+        return FbmcGrid(m_sub, make_egf(1.0, 4, m_sub, length=length))
 
     @pytest.fixture(scope="class")
-    def egf_bank(self, egf_grid):
-        return PulseBank(egf_grid)
+    def oracle_bank(self, oracle_grid):
+        return PulseBank(oracle_grid)
 
-    def test_synthesis_matches_pulse_superposition(self, egf_grid, egf_bank):
+    def test_synthesis_matches_pulse_superposition(self, oracle_grid, oracle_bank):
         """Also with one and two columns, where a parity has none or one."""
-        assert egf_bank.fft  # M=64 takes the FFT form of the products
+        m_sub = oracle_grid.subcarriers
+        assert oracle_bank.fft == (m_sub == 64)
         rng = np.random.default_rng(21)
         for n_cols in (1, 2, 6):
-            a = rng.normal(size=(64, n_cols))
-            signal = fbmc_synthesize(a[None], egf_bank)[0]
+            a = rng.normal(size=(m_sub, n_cols))
+            signal = fbmc_synthesize(a[None], oracle_bank)[0]
             expected = np.zeros(signal.size, dtype=complex)
-            for m in range(64):
+            for m in range(m_sub):
                 for n in range(n_cols):
-                    p = pulse(egf_grid, m, n)
+                    p = pulse(oracle_grid, m, n)
                     expected[p.start : p.start + p.samples.size] += a[m, n] * p.samples
             assert np.max(np.abs(signal - expected)) < 1e-12
 
-    def test_analysis_is_adjoint_of_synthesis(self, egf_grid, egf_bank):
+    def test_analysis_is_adjoint_of_synthesis(self, oracle_grid, oracle_bank):
         rng = np.random.default_rng(22)
-        n_cols = 7
-        a = rng.normal(size=(64, n_cols))
-        length = fbmc_signal_length(egf_grid, n_cols)
+        m_sub, n_cols = oracle_grid.subcarriers, 7
+        a = rng.normal(size=(m_sub, n_cols))
+        length = fbmc_signal_length(oracle_grid, n_cols)
         x = rng.normal(size=length) + 1j * rng.normal(size=length)
         # synthesis is real-linear, so its adjoint is Re<x|S a>
-        lhs = np.vdot(fbmc_synthesize(a[None], egf_bank)[0], x).real
-        rhs = np.sum(a * fbmc_analyze_frame(x[None], egf_bank, n_cols)[0])
+        lhs = np.vdot(fbmc_synthesize(a[None], oracle_bank)[0], x).real
+        rhs = np.sum(a * fbmc_analyze_frame(x[None], oracle_bank, n_cols)[0])
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
-    def test_analysis_matches_pulse_projections(self, egf_grid, egf_bank):
+    def test_analysis_matches_pulse_projections(self, oracle_grid, oracle_bank):
         """Also with one and two columns, where a parity has none or one."""
         rng = np.random.default_rng(24)
+        m_sub = oracle_grid.subcarriers
         for n_cols in (1, 2, 6):
-            length = fbmc_signal_length(egf_grid, n_cols)
+            length = fbmc_signal_length(oracle_grid, n_cols)
             x = rng.normal(size=length) + 1j * rng.normal(size=length)
-            stats = fbmc_analyze_frame(x[None], egf_bank, n_cols)[0]
-            assert stats.dtype == np.float64 and stats.shape == (64, n_cols)
-            expected = np.empty((64, n_cols))
-            for m in range(64):
+            stats = fbmc_analyze_frame(x[None], oracle_bank, n_cols)[0]
+            assert stats.dtype == np.float64 and stats.shape == (m_sub, n_cols)
+            expected = np.empty((m_sub, n_cols))
+            for m in range(m_sub):
                 for n in range(n_cols):
-                    p = pulse(egf_grid, m, n)
+                    p = pulse(oracle_grid, m, n)
                     window = x[p.start : p.start + p.samples.size]
                     expected[m, n] = np.vdot(p.samples, window).real
             assert np.max(np.abs(stats - expected)) < 1e-12
 
-    def test_phase_fold(self, egf_grid, egf_bank):
+    def test_phase_fold(self, oracle_grid, oracle_bank):
         """p[m, n+2] is -p[m, n] one symbol (M samples) later, and p[m, n]
         is signs[n] * taps[j] * period[n % 2][m, j mod M]: the two
         root-of-unity matrices, the tap chunks and the column signs give
-        every pulse."""
-        n_cols, m_sub = 8, egf_grid.subcarriers
-        signs = egf_bank.signs(n_cols)
+        every pulse.  The matrix form folds the chunks into its matrices:
+        row block c of _synthesis[r] is period[r] * chunks[C-1-c], and
+        _analysis[r] is period[r].T with row q*2M + i scaled by
+        chunks[q, i], cut to 2*L_p rows."""
+        n_cols, m_sub = 8, oracle_grid.subcarriers
+        signs = oracle_bank.signs(n_cols)
         assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
-        taps = egf_grid.filter.coeffs
-        period = np.ascontiguousarray(egf_bank.period).view(np.complex128)
+        taps = oracle_grid.filter.coeffs
+        period = np.ascontiguousarray(oracle_bank.period).view(np.complex128)
         assert period.shape == (2, m_sub, m_sub)
         dft = np.exp(2j * np.pi / m_sub * np.outer(np.arange(m_sub), np.arange(m_sub)))
-        twisted = egf_bank.twist[:, :, None] * dft
+        twisted = oracle_bank.twist[:, :, None] * dft
         assert np.max(np.abs(period - twisted)) < 1e-12
-        chunks = egf_bank.chunks
-        assert chunks.shape == (-(-taps.size // m_sub), 2 * m_sub)
+        chunks = oracle_bank.chunks
+        n_chunks = -(-taps.size // m_sub)
+        assert chunks.shape == (n_chunks, 2 * m_sub)
         assert np.array_equal(chunks[:, ::2], chunks[:, 1::2])
         assert np.array_equal(chunks[:, ::2].ravel()[: taps.size], taps)
         assert not chunks[:, ::2].ravel()[taps.size :].any()
         j = np.arange(taps.size)
-        for m in (0, 1, 2, 3, 37, 63):
+        for m in (0, 1, 2, 3, m_sub // 2 + 5, m_sub - 1):
             for n in range(n_cols):
-                p = pulse(egf_grid, m, n).samples
-                assert np.max(np.abs(pulse(egf_grid, m, n + 2).samples + p)) < 1e-12
+                p = pulse(oracle_grid, m, n).samples
+                assert np.max(np.abs(pulse(oracle_grid, m, n + 2).samples + p)) < 1e-12
                 fold = signs[n] * taps * period[n % 2, m, j % m_sub]
                 assert np.max(np.abs(fold - p)) < 1e-12
+        synthesis, analysis = oracle_bank._synthesis, oracle_bank._analysis
+        assert synthesis.shape == (2, n_chunks * m_sub, 2 * m_sub)
+        assert analysis.shape == (2, 2 * taps.size, m_sub)
+        for r in (0, 1):
+            for c in range(n_chunks):
+                block = synthesis[r, c * m_sub : (c + 1) * m_sub]
+                expected = oracle_bank.period[r] * chunks[n_chunks - 1 - c]
+                assert np.array_equal(block, expected)
+            for row in range(2 * taps.size):
+                q, i = divmod(row, 2 * m_sub)
+                expected = oracle_bank.period[r][:, i] * chunks[q, i]
+                assert np.array_equal(analysis[r, row], expected)
 
     def test_batch_equals_single_frames(self, martin_bank):
         rng = np.random.default_rng(23)
@@ -404,8 +428,9 @@ class TestFbmcOracles:
 
     def test_batch_equals_its_single_frames(self, martin_bank):
         frames, n_cols = 460, 9
-        # the batch's products run in several parts of PRODUCT_ROWS rows
-        assert frames // 2 * (n_cols // 2) > 2 * modem.PRODUCT_ROWS
+        # each parity's products run in several parts
+        for matrix in (martin_bank._synthesis[1], martin_bank._analysis[1]):
+            assert frames * (n_cols // 2) * matrix.size > 2 * modem._PART_MACS
         rng = np.random.default_rng(25)
         a = rng.normal(size=(frames, 16, n_cols))
         signal = fbmc_synthesize(a, martin_bank)
@@ -418,6 +443,31 @@ class TestFbmcOracles:
             single = fbmc_analyze_frame(x[b : b + 1], martin_bank, n_cols)
             worst = max(worst, np.max(np.abs(stats[b : b + 1] - single)))
         assert worst < 1e-14
+
+
+@pytest.mark.parametrize("m_sub", range(2, 34, 2))
+def test_product_parts_stay_below_the_threading_threshold(monkeypatch, m_sub):
+    """Every M of the matrix form, at L_p = KM-1, KM and KM+1: each part of
+    its products has fewer than the 1e6 multiply-adds at which OpenBLAS
+    wakes its worker threads, in a batch whose whole products would cross
+    that twice over."""
+    assert PulseBank(FbmcGrid(34, make_egf(1.0, 4, 34))).fft
+    parts, matmul = [], np.matmul
+
+    def spy(rows, matrix, *args, **kwargs):
+        parts.append(rows.shape[0] * rows.shape[1] * matrix.shape[1])
+        return matmul(rows, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    n_cols = 48
+    for length in (4 * m_sub - 1, 4 * m_sub, 4 * m_sub + 1):
+        bank = PulseBank(FbmcGrid(m_sub, make_egf(1.0, 4, m_sub, length=length)))
+        assert not bank.fft
+        frames = -(-2 * 10**6 // (n_cols // 2 * 2 * length * m_sub))
+        a = np.ones((frames, m_sub, n_cols))
+        parts.clear()
+        fbmc_analyze_frame(fbmc_synthesize(a, bank), bank, n_cols)
+        assert len(parts) >= 4 * 2 and max(parts) < 1e6
 
 
 class TestFbmcWindow:

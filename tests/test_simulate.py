@@ -385,17 +385,23 @@ class TestNoiseThread:
         assert len(drawn) == len(frame_blocks(system, 5))
         assert len(set(drawn)) == 1 and drawn[0] != threading.get_ident()
 
-    @pytest.mark.parametrize("call", ["build_set", "simulate_frames"])
-    def test_no_openblas_worker_spins_after(self, call):
+    @pytest.mark.parametrize("call, m, frames", [
+        ("build_set", 256, None), ("simulate_frames", 256, 2),
+        ("simulate_frames", 16, 120), ("simulate_frames", 32, 60),
+    ], ids=["build_set", "simulate_frames", "simulate_frames-m16",
+            "simulate_frames-m32"])
+    def test_no_openblas_worker_spins_after(self, call, m, frames):
         """OpenBLAS spreads a product of about 1e6 multiply-adds or more
         over all cores, and then its idle worker spins on another core for
         about 0.1 s, taking it from the noise helper and from whatever runs
-        next.  After the M=256 calls the process uses next to no CPU while
-        it sleeps."""
-        grid = FbmcGrid(256, make_egf(1.0, 4, 256))
+        next.  After the calls the process uses next to no CPU while it
+        sleeps: at M=256 (the FFT form of the modem), and at M=16 and M=32,
+        the largest M of the matrix form, with blocks whose products would
+        each cross the threshold if they were not run in parts."""
+        grid = FbmcGrid(m, make_egf(1.0, 4, m))
         run = {"build_set": lambda: build_set(grid),
                "simulate_frames": lambda: FbmcSystem(8, grid).simulate_frames(
-                   AWGN, 2.0, 2, np.random.default_rng(1))}[call]
+                   AWGN, 2.0, frames, np.random.default_rng(1))}[call]
 
         def cpu_s():
             usage = resource.getrusage(resource.RUSAGE_SELF)
