@@ -8,8 +8,8 @@ folded into the matrices, so each column parity of synthesis and of
 analysis is one real matrix product, run in parts small enough to stay
 on one OpenBLAS thread; above, each parity takes a twisted length-M FFT
 and one multiply-add per chunk.  Real PAM amplitudes in, real decision
-statistics Re<x|p[m,n]> out.  The cyclic-prefix OFDM chain is part of
-`simulate.OfdmSystem`.
+statistics Re<x|p[m,n]> out.  OFDM has no modem: its unitary FFT pair
+moves no noise statistic, so `simulate.OfdmSystem` skips it.
 The mapping works on Gray codewords: `pam_codewords` packs LSB-first
 groups of N_b bits into codewords, `pam_map` gives the level of each
 codeword and `pam_demap` the codeword of the nearest level, so the bit

@@ -2,27 +2,31 @@
 
 Noise is calibrated so the real decision statistic sees variance N0/2
 with gamma_b = E_s / (N_b * N0); OFDM pays the cyclic prefix's SNR
-penalty through its noise density and draws no prefix samples.  Rayleigh
-fading uses genie one-tap zero-forcing, h*s + n -> s + n/h.  As n is
-circular, n/h is distributed as n/|h|: the fade phase moves no count,
-so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per symbol (PAM),
-per subcarrier and OFDM symbol (OFDM) or per frame (FBMC), each held
-for `coherence` such units.  A batch draws, in this order, the bits and
-the fades (Rayleigh only) of all its frames, on the calling thread.  It
+penalty through its noise density.  OFDM runs no modem: the FFT of
+white circular noise under unitary transforms is white circular noise
+of the same variance, so its QAM symbols get the noise directly.
+Rayleigh fading uses genie one-tap zero-forcing, h*s + n -> s + n/h.  As
+n is circular, n/h is distributed as n/|h|: the fade phase moves no
+count, so only the amplitude |h| = sqrt(Exp(1)) is drawn, one per
+symbol (PAM), per subcarrier and OFDM symbol (OFDM) or per frame
+(FBMC), each held for `coherence` such units, and every system draws
+its noise as n/|h|.  A batch draws, in this order, the bits and the
+fades (Rayleigh only) of all its frames, on the calling thread.  It
 then runs in blocks of whole frames, small enough to stay near the
 cache: a block of any system holds at most _BLOCK_REALS noise reals.
-Each block packs its bits into Gray codewords, maps, passes the channel
-(and the FBMC modem), adds its noise, demaps to codewords and counts the
-bit errors as the Hamming distances between the sent and the decided
-codewords.  Meanwhile one helper thread draws the noise of the blocks,
-each as one interleaved standard_normal array (complex for OFDM and
-FBMC), in block order and one block ahead of the calling thread; the
-thread is joined before simulate_frames returns.  The modem runs its
-matrix products in parts of fewer multiply-adds than OpenBLAS spreads
-over all cores, and takes FFTs instead above M=32, so no idle OpenBLAS
-worker spins on the core that the helper draws on.  FBMC
-counts the columns 2K .. N-2K only, so it synthesizes, draws noise for
-and analyzes only the samples those columns read.
+Each block packs its bits into Gray codewords, maps them (FBMC also
+synthesizes), adds its zero-forced noise, demaps (FBMC after its
+analysis) to codewords and counts the bit errors as the Hamming
+distances between the sent and the decided codewords.  Meanwhile one
+helper thread draws the noise of the blocks, each as one interleaved
+standard_normal array (complex for OFDM and FBMC), in block order and
+one block ahead of the calling thread; the thread is joined before
+simulate_frames returns.  The modem runs its matrix products in parts
+of fewer multiply-adds than OpenBLAS spreads over all cores, and takes
+FFTs instead above M=32, so no idle OpenBLAS worker spins on the core
+that the helper draws on.  FBMC counts the columns 2K .. N-2K only, so
+it synthesizes, draws noise for and analyzes only the samples those
+columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -253,8 +257,8 @@ def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
 # Systems
 #
 # simulate_frames draws a batch's bits and fades whole, then _block_errors
-# runs blocks of whole frames: each packs its bits into Gray codewords, maps,
-# passes the channel (and the FBMC modem), adds its noise, demaps and counts,
+# runs blocks of whole frames: each packs its bits into Gray codewords, maps
+# (and runs the FBMC modem), adds its zero-forced noise, demaps and counts,
 # while a helper thread draws the noise one block ahead.
 
 # Noise reals per block (256 KB) of every system: 2**14 and 2**17 were
@@ -274,16 +278,16 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
 def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
     """Bit errors per frame of a batch, run in blocks of whole frames.
 
-    bits holds the frames' bits, (frames, frame_bits).  Per block this
-    thread packs them into pam's codewords, then transmit(sl, codes)
-    gives the noise-free received signal of the frames sl, a
-    (frames, *shape) array of dtype, and receive(sl, codes, y) the bit
-    errors per frame of y, that signal plus its noise (zero-forced by
-    fades[sl] unless fades is None).  One helper thread draws the noise
-    of the blocks in block order, each while this thread works on the
-    block before; it calls _noise only, which touches rng and an array
-    that this thread allocates (numpy's generator releases the GIL while
-    it draws).
+    bits holds the frames' bits, (frames, frame_bits), and fades (None
+    under AWGN) their fades over the leading axes of (frames, *shape).
+    Per block this thread packs the bits into pam's codewords, then
+    transmit(codes) gives the noise-free received signal, a
+    (frames, *shape) array of dtype, and receive(codes, y) the bit errors
+    per frame of y, that signal plus its noise zero-forced by the block's
+    fades.  One helper thread draws the noise of the blocks in block
+    order, each while this thread works on the block before; it calls
+    _noise only, which touches rng and an array that this thread
+    allocates (numpy's generator releases the GIL while it draws).
     """
     # imported on the first batch, not with the package (about 2.5 ms)
     from concurrent.futures import ThreadPoolExecutor
@@ -308,9 +312,9 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
             if k + 1 < len(slices):
                 ahead = draw_ahead(slices[k + 1])
             codes = pam_codewords(bits[sl], pam).reshape(sl.stop - sl.start, -1)
-            y = transmit(sl, codes)
+            y = transmit(codes)
             y += noise.result()
-            errors[sl] = receive(sl, codes, y)
+            errors[sl] = receive(codes, y)
     return errors
 
 
@@ -347,13 +351,15 @@ class PamSystem:
         return _block_errors(
             rng, self.noise_density(gamma_b), bits, pam, (n,), np.float64,
             None if h is None else h.reshape(frames, n),
-            lambda sl, codes: pam_map(codes, pam).reshape(-1, n),
-            lambda sl, codes, y: _frame_errors(codes, pam_demap(y, pam)))
+            lambda codes: pam_map(codes, pam).reshape(-1, n),
+            lambda codes, y: _frame_errors(codes, pam_demap(y, pam)))
 
 
 @dataclass(frozen=True)
 class OfdmSystem:
-    """Cyclic-prefix OFDM with square QAM; per-subcarrier fades."""
+    """Cyclic-prefix OFDM with square QAM; per-subcarrier fades.  Each
+    subcarrier decides on its QAM symbol plus the noise n/|h|, which is
+    what the unitary FFT of the received body gives it."""
 
     qam_order: int
     subcarriers: int
@@ -389,21 +395,11 @@ class OfdmSystem:
         m, nsym = self.subcarriers, self.frame_symbols
         bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames, m, nsym))
-
-        def transmit(sl, codes):
-            x = qam_map(codes, qam).reshape(-1, m, nsym)
-            if h is not None:
-                x *= h[sl]
-            return np.fft.ifft(x, axis=1, norm="ortho")
-
-        def receive(sl, codes, rx):
-            y = np.fft.fft(rx, axis=1, norm="ortho")
-            if h is not None:
-                y /= h[sl]
-            return _frame_errors(codes, qam_demap(y, qam))
-
-        return _block_errors(rng, self.noise_density(gamma_b), bits, qam.pam,
-                             (m, nsym), np.complex128, None, transmit, receive)
+        return _block_errors(
+            rng, self.noise_density(gamma_b), bits, qam.pam, (m, nsym),
+            np.complex128, h,
+            lambda codes: qam_map(codes, qam).reshape(-1, m, nsym),
+            lambda codes, y: _frame_errors(codes, qam_demap(y, qam)))
 
 
 @dataclass(frozen=True)
@@ -468,11 +464,11 @@ class FbmcSystem:
         width = fbmc_signal_length(self.grid, hi - lo)
         flip = self.grid.filter.overlap % 2
 
-        def transmit(sl, codes):
+        def transmit(codes):
             a = pam_map(codes, pam).reshape(-1, m, nsym)
             return fbmc_synthesize(a, self.bank, start, start + width)
 
-        def receive(sl, codes, x):
+        def receive(codes, x):
             stats = fbmc_analyze_frame(x, self.bank, hi - lo)
             if flip:
                 np.negative(stats, out=stats)

@@ -9,7 +9,10 @@ and `pam_demap`, and bit errors are counted on the bits shifted out of
 each codeword, not on the Hamming distance of two codewords.  The Gray
 PAM BEP has two references besides `fbmcber.analytic`'s weights: Cho and
 Yoon's closed-form coefficients (IEEE Trans. Commun. 50(7), 2002), and a
-brute-force sum over every sent level and decision region.
+brute-force sum over every sent level and decision region.  OFDM's
+reference runs the unitary IFFT/FFT pair that the simulator leaves out,
+with the noise added between them; it decides with
+`fbmcber.modem.qam_demap`, so it checks the channel path, not the slicer.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from fbmcber.constellations import PamConstellation
+from fbmcber.constellations import PamConstellation, QamConstellation
 from fbmcber.interference import FbmcGrid
+from fbmcber.modem import qam_demap
 
 
 def q_function(x):
@@ -92,6 +96,30 @@ def bit_errors(sent, decided, bits_per_symbol: int) -> np.ndarray:
     wrong = (codeword_bits(sent, bits_per_symbol)
              != codeword_bits(decided, bits_per_symbol))
     return np.count_nonzero(wrong.reshape(frames, -1), axis=1)
+
+
+def ofdm_chain_errors(codes, qam: QamConstellation, fades, noise):
+    """Bit errors per frame of cyclic-prefix OFDM through its FFT pair.
+
+    codes holds each frame's interleaved (in-phase, quadrature) Gray
+    codewords, (frames, 2 * M * N_sym).  Their QAM symbols, laid out as
+    noise's (frames, M, N_sym), are scaled by fades (the same shape; None
+    under AWGN), taken through the unitary IFFT over the M subcarriers,
+    and noise, time-domain samples, is added.  The receiver takes the
+    unitary FFT, divides by fades and decides with qam_demap.
+    """
+    order = qam.pam.order
+    level = np.empty(order)
+    level[gray_codes(order)] = pam_levels(order)
+    x = level[np.asarray(codes).ravel()].view(np.complex128).reshape(noise.shape)
+    if fades is not None:
+        x = x * fades
+    y = np.fft.fft(np.fft.ifft(x, axis=1, norm="ortho") + noise, axis=1,
+                   norm="ortho")
+    if fades is not None:
+        y /= fades
+    return bit_errors(codes, qam_demap(y, qam).reshape(len(codes), -1),
+                      qam.pam.bits_per_symbol)
 
 
 def cho_weight(i: int, k: int, order: int) -> int:

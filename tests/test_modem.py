@@ -532,8 +532,8 @@ class TestFbmcWindow:
 
 
 class TestOfdmChain:
-    """The OFDM chain of OfdmSystem (IFFT, cyclic prefix, FFT, one-tap
-    zero-forcing) is transparent at an SNR where noise flips no bit."""
+    """OfdmSystem's channel (QAM symbols plus noise zero-forced per
+    subcarrier) flips no bit at an SNR where the noise is negligible."""
 
     @staticmethod
     def frame_errors(n_cp, channel, seed):

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from conftest import frame_blocks
-from oracles import codeword_bits
+from oracles import codeword_bits, ofdm_chain_errors
 from fbmcber import analytic as an
 from fbmcber import simulate
 from fbmcber.constellations import PamConstellation
@@ -44,12 +44,13 @@ AWGN = ChannelModel("awgn")
 RAYLEIGH = ChannelModel("rayleigh")
 
 
-def _whole_batch(system, channel, gamma_b, frames, rng):
-    """Per-frame bit errors of a batch drawn whole, in the documented
-    order: the bits, the fades (held for the coherence), then one
-    standard_normal draw for all the noise.  FBMC noise covers the samples
-    that the counted columns read; the reference synthesizes and analyzes
-    whole frames and adds the noise to that window of them."""
+def _batch_draws(system, channel, gamma_b, frames, rng):
+    """A batch's bits, fades (None under AWGN) and noise, drawn whole in
+    the documented order: the bits, the fades (held for the coherence),
+    then one standard_normal draw for all the noise, returned unscaled as
+    (*noise_shape, 1 or 2) reals: one real per PAM symbol, and one complex
+    value per OFDM subcarrier and symbol or per sample that the counted
+    FBMC columns read."""
     if isinstance(system, FbmcSystem):
         m, nsym, lo = system.grid.subcarriers, system.frame_symbols, system.edge_columns
         n_bits = frames * m * nsym * system.constellation.bits_per_symbol
@@ -69,32 +70,33 @@ def _whole_batch(system, channel, gamma_b, frames, rng):
         amp = np.sqrt(rng.standard_exponential((*lead, -(-units // channel.coherence))))
         amp = np.repeat(amp, channel.coherence, axis=-1)[..., :units]
     dims = 1 if isinstance(system, PamSystem) else 2
-    z = rng.standard_normal(dims * math.prod(noise_shape))
+    return bits, amp, rng.standard_normal((*noise_shape, dims))
+
+
+def _whole_batch(system, channel, gamma_b, frames, rng):
+    """Per-frame bit errors of a batch drawn whole by _batch_draws.  PAM
+    and OFDM add the noise, scaled by sigma / |h|, to the mapped symbols.
+    The FBMC reference synthesizes and analyzes whole frames and adds
+    the noise to the window of them that the counted columns read."""
+    bits, amp, z = _batch_draws(system, channel, gamma_b, frames, rng)
     sigma = math.sqrt(system.noise_density(gamma_b) / 2)
+    z *= sigma if amp is None else (sigma / amp).reshape(
+        amp.shape + (1,) * (z.ndim - amp.ndim))
+    z = (z.view(np.complex128) if z.shape[-1] == 2 else z)[..., 0]
     sent = bits
     pam = system.constellation
     if isinstance(system, PamSystem):
-        z *= sigma if amp is None else sigma / amp
         decided = pam_demap(z + pam_map(pam_codewords(bits, pam), pam), pam)
     elif isinstance(system, OfdmSystem):
         qam, pam = pam, pam.pam
-        x = qam_map(pam_codewords(bits, pam), qam).reshape(noise_shape)
-        if amp is not None:
-            x *= amp
-        z *= sigma
-        rx = z.view(np.complex128).reshape(noise_shape)
-        rx += np.fft.ifft(x, axis=1, norm="ortho")
-        y = np.fft.fft(rx, axis=1, norm="ortho")
-        if amp is not None:
-            y /= amp
-        decided = qam_demap(y.ravel(), qam)
+        y = z.ravel() + qam_map(pam_codewords(bits, pam), qam)
+        decided = qam_demap(y, qam)
     else:
-        z = z.reshape(frames, -1)
-        z *= sigma if amp is None else (sigma / amp)[:, None]
+        m, nsym, lo = system.grid.subcarriers, system.frame_symbols, system.edge_columns
         a = pam_map(pam_codewords(bits, pam), pam).reshape(frames, m, nsym)
         x = fbmc_synthesize(a, system.bank)
         start = lo * system.grid.half_symbol
-        x[:, start : start + noise_shape[1]] += z.view(np.complex128)
+        x[:, start : start + z.shape[1]] += z
         stats_ = fbmc_analyze_frame(x, system.bank, nsym)
         decided = pam_demap(stats_[:, :, lo:nsym - lo].ravel(), pam)
         sent = bits.reshape(frames, m, nsym, -1)[:, :, lo:nsym - lo]
@@ -123,16 +125,20 @@ class TestChannel:
         assert abs(np.mean(noise.real * noise.imag)) < 0.005 * n0
 
     def test_zero_forced_noise_scales_by_fade(self):
-        """One amplitude per index of the leading fades.ndim axes."""
-        for shape, fades in (((3, 5), np.array([1.0, 0.5, 0.1])),
-                             ((2, 3, 5), np.array([[1.0, 0.5, 0.1],
-                                                   [2.0, 0.3, 1e-3]]))):
+        """One amplitude per index of the leading fades.ndim axes, which
+        may be all of them: OFDM has one fade per value of its
+        (frames, M, N_sym) noise."""
+        ofdm_fades = np.random.default_rng(6).uniform(1e-3, 2.0, (2, 3, 5))
+        for shape, fades, per_value in (
+                ((3, 5), np.array([1.0, 0.5, 0.1]), (1,)),
+                ((2, 3, 5), np.array([[1.0, 0.5, 0.1], [2.0, 0.3, 1e-3]]), (1,)),
+                ((2, 3, 5), ofdm_fades, ())):
             plain = simulate._noise(np.random.default_rng(4), 0.2, shape,
                                     np.complex128)
             forced = simulate._noise(np.random.default_rng(4), 0.2, shape,
                                      np.complex128, fades)
-            assert np.allclose(forced, plain / fades[..., None], rtol=1e-15,
-                               atol=0)
+            assert np.allclose(forced, plain / fades.reshape(fades.shape + per_value),
+                               rtol=1e-15, atol=0)
 
     def test_noise_fills_out(self):
         """With out, the draw lands in out and is the draw without it."""
@@ -187,8 +193,9 @@ class TestChannel:
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
 
     def test_ofdm_draws_noise_for_the_body_only(self):
-        """An OFDM batch draws the bits, then complex noise for the M body
-        samples of each OFDM symbol; the dropped cyclic prefix draws none."""
+        """An OFDM batch draws the bits, then one complex noise value per
+        subcarrier and OFDM symbol, added to its QAM symbol; the dropped
+        cyclic prefix draws none."""
         system = OfdmSystem(16, 16, 2, frame_symbols=4)
         qam, shape = system.constellation, (3, 16, 4)
         got = system.simulate_frames(AWGN, 2.0, 3, np.random.default_rng(7))
@@ -196,12 +203,30 @@ class TestChannel:
         bits = np.unpackbits(np.frombuffer(rng.bytes(96), np.uint8)).astype(np.int8)
         noise = rng.standard_normal(2 * math.prod(shape))
         noise *= math.sqrt(system.noise_density(2.0) / 2)
-        rx = noise.view(np.complex128).reshape(shape)
-        x = qam_map(pam_codewords(bits, qam.pam), qam)
-        rx += np.fft.ifft(x.reshape(shape), axis=1, norm="ortho")
-        y = np.fft.fft(rx, axis=1, norm="ortho")
-        wrong = bits != codeword_bits(qam_demap(y.ravel(), qam), 2)
+        y = noise.view(np.complex128) + qam_map(pam_codewords(bits, qam.pam), qam)
+        wrong = bits != codeword_bits(qam_demap(y, qam), 2)
         assert np.array_equal(got, wrong.reshape(3, -1).sum(axis=1))
+
+    @pytest.mark.parametrize("qam_order", [4, 16, 64])
+    @pytest.mark.parametrize("n_cp", [0, 2])
+    @pytest.mark.parametrize("channel", [AWGN, ChannelModel("rayleigh", 3)],
+                             ids=["awgn", "rayleigh"])
+    def test_ofdm_counts_what_the_fft_chain_counts(self, channel, n_cp, qam_order):
+        """Fed its draws, with the noise n that it adds per subcarrier
+        given to the IFFT/FFT chain as time-domain noise ifft(n), OFDM
+        counts per frame exactly what that chain counts: FFT(IFFT(h x) +
+        IFFT(n)) / h = x + n / h."""
+        system, frames = OfdmSystem(qam_order, 16, n_cp, frame_symbols=4), 601
+        assert len(frame_blocks(system, frames)) >= 3
+        got = system.simulate_frames(channel, 2.0, frames, np.random.default_rng(12))
+        bits, amp, z = _batch_draws(system, channel, 2.0, frames,
+                                    np.random.default_rng(12))
+        z *= math.sqrt(system.noise_density(2.0) / 2)
+        noise = np.fft.ifft(z.view(np.complex128)[..., 0], axis=1, norm="ortho")
+        qam = system.constellation
+        codes = pam_codewords(bits, qam.pam).reshape(frames, -1)
+        expected = ofdm_chain_errors(codes, qam, amp, noise)
+        assert got.sum() > 0 and np.array_equal(got, expected)
 
     def test_frame_slices_cover_whole_frames(self):
         """Contiguous slices of whole frames cover 0..frames in order, each
@@ -238,7 +263,9 @@ class TestChannel:
     def test_blocks_continue_one_draw(self, system, frames, channel):
         """A batch of three or more blocks, the last one short, counts what
         one whole-batch draw of the bits, the fades and the noise gives;
-        PAM and FBMC fades are held across block boundaries."""
+        PAM and FBMC fades are held across block boundaries, and every
+        block's OFDM fades are its frames' slice, fades[sl], of the
+        batch's fades."""
         blocks = frame_blocks(system, frames)
         assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < (
             blocks[0].stop - blocks[0].start)
@@ -258,11 +285,10 @@ class TestChannel:
         assert np.array_equal(runs[0], runs[1])
         assert not np.array_equal(runs[0], runs[2])
 
-    # OFDM's zero-forcing round trip is in test_modem.TestOfdmChain.
     @pytest.mark.parametrize("system", [
         PamSystem(8), FbmcSystem(8, FbmcGrid(16, make_martin(4, 16))),
-        FbmcSystem(8, FbmcGrid(16, make_martin(3, 16))),
-    ], ids=["pam", "fbmc", "fbmc-k3"])
+        FbmcSystem(8, FbmcGrid(16, make_martin(3, 16))), OfdmSystem(64, 16, 2),
+    ], ids=["pam", "fbmc", "fbmc-k3", "ofdm"])
     def test_zero_forcing_round_trip(self, system):
         res = run_ber(system, RAYLEIGH, [120.0], StopRule(1, 100_000), seed=3)
         assert res.points[0].errors == 0
