@@ -3,11 +3,14 @@
 Gray PAM bit mapping, with square QAM as PAM over the interleaved
 (re, im) parts of its symbols, and FBMC synthesis and analysis of frame
 batches in polyphase form, from a `PulseBank`'s two M x M root-of-unity
-matrices and its chunks of M prototype taps.  Up to M=32 the chunks are
-folded into the matrices, so each column parity of synthesis and of
-analysis is one real matrix product, run in parts small enough to stay
-on one OpenBLAS thread; above, each parity takes a twisted length-M FFT
-and one multiply-add per chunk.  Real PAM amplitudes in, real decision
+matrices and its chunks of M prototype taps.  One routine per
+direction serves every M: each column parity of synthesis forms the
+signal blocks that the sample range needs, from the columns they read,
+and each parity of analysis sums the chunks of one window view before
+its root-of-unity product.  The two forms differ in that product only:
+up to M=32 a real matrix product, run in parts small enough to stay on
+one OpenBLAS thread (synthesis folds the chunks into its matrix), above
+a twisted length-M FFT.  Real PAM amplitudes in, real decision
 statistics Re<x|p[m,n]> out.  OFDM has no modem: its unitary FFT pair
 moves no noise statistic, so `simulate.OfdmSystem` skips it.
 The mapping works on Gray codewords: `pam_codewords` packs LSB-first
@@ -172,15 +175,15 @@ class PulseBank:
     chunks: the (C, 2M) taps p[q*M + i], C = ceil(L_p / M), each repeated
         for the real and the imaginary part and zero past L_p.
 
-    The matrix form folds the chunks into the root-of-unity matrices, so
-    that each parity of synthesis and of analysis is one real matrix
-    product: `_synthesis[r]` stacks period[r] * chunks[C-1-c] for c < C,
-    and a window of C consecutive parity-r columns times it is one 2M-float
-    block of the signal; `_analysis[r]` is period[r].T with row q*2M + i
-    scaled by chunks[q, i], and a column's 2*L_p signal floats times it are
-    its statistics.  The FFT form transforms the rows and multiplies the
-    transforms by the chunks one chunk at a time.  The matrices are built
-    on first use: a bank of the FFT form never needs them (4 ms at M=256).
+    The matrix form folds the chunks into its synthesis matrices:
+    `_synthesis[r]` stacks period[r] * chunks[C-1-c] for c < C, and a
+    window of C consecutive parity-r columns times it is one 2M-float
+    block of the signal.  The FFT form transforms the columns and
+    multiplies the transforms by the chunks one chunk at a time.  Both
+    forms analyze a column as its chunk sums (its 2*L_p signal floats in
+    chunks of 2M, weighted by the chunks and summed) projected by
+    `project`.  The matrices are built on first use: a bank of the FFT
+    form never needs them (4 ms at M=256).
     OpenBLAS rounds a row's product with these row-major matrices the same
     in every product of two rows or more (a one-row product takes another
     kernel), so the window of a frame that the simulator synthesizes and
@@ -232,14 +235,6 @@ class PulseBank:
         blocks = self.period[:, None] * self.chunks[::-1, None, :]
         return blocks.reshape(2, n_chunks * self.grid.subcarriers, width)
 
-    @cached_property
-    def _analysis(self) -> np.ndarray:
-        """(2, 2*L_p, M): [r] is period[r].T with row q*2M + i scaled by
-        chunks[q, i], cut to the 2*L_p rows of the taps."""
-        scaled = self._adjoint[:, None] * self.chunks[:, :, None]
-        scaled = scaled.reshape(2, -1, self.grid.subcarriers)
-        return np.ascontiguousarray(scaled[:, : 2 * self.grid.filter.length])
-
     @staticmethod
     def signs(n_symbols: int) -> np.ndarray:
         """Column signs (-1)**(n // 2) for n < n_symbols."""
@@ -254,7 +249,10 @@ class PulseBank:
 
     def project(self, rows: np.ndarray, r: int) -> np.ndarray:
         """rows @ period[r].T: the (R, M) real projections of the (R, 2M)
-        interleaved rows onto parity r's complex rows, as a twisted DFT."""
+        interleaved rows onto parity r's complex rows, as a twisted DFT in
+        the FFT form and one real matrix product in the matrix form."""
+        if not self.fft:
+            return _rows_product(rows, self._adjoint[r])
         spectra = np.fft.fft(rows.view(np.complex128), axis=1)
         spectra *= self.twist[r].conj()
         return spectra.real
@@ -304,72 +302,67 @@ def fbmc_synthesize(symbols, bank: PulseBank, start: int = 0,
     signs = bank.signs(n_symbols)
     first = 2 * start
     signal = np.zeros((a.shape[0], 2 * stop - first))
-    add = _add_fft_parity if bank.fft else _add_matrix_parity
     for r in (0, 1):
         cols = a[:, :, r::2].transpose(0, 2, 1)
-        add(signal, cols, signs[r::2, None], bank, r, first)
+        _add_parity(signal, cols, signs[r::2, None], bank, r, first)
     return signal.view(np.complex128)
 
 
-def _add_matrix_parity(signal, cols, signs, bank, r, first):
+def _add_parity(signal, cols, signs, bank, r, first):
     """Add the pulses of parity r's (B, J, M) columns cols * signs into the
-    signal's floats [first, first + signal.shape[1]) in the matrix form.
+    signal's floats [first, first + signal.shape[1]).
 
-    Output block b of the parity, the 2M floats from float (r + 2b)*M, is
-    the window of its columns b-C+1 .. b (zero outside 0 .. J-1) times
-    _synthesis[r].  Only the blocks that reach into the signal's floats
-    are formed, each window is copied once, and the blocks are one
-    contiguous run.
+    Column j starts at float (r + 2j)*M and chunk q of its pulse 2q*M
+    floats later, so output block b of the parity, the width = 2M floats
+    from float (r + 2b)*M, sums chunk q of column b-q over q < C.  Only
+    the blocks lo .. hi-1 that reach into the signal's floats are formed,
+    from the columns c0 .. c1-1 that they read.  The matrix form takes the
+    blocks as one contiguous run: the window of each block's columns
+    b-C+1 .. b (zero outside 0 .. J-1), each copied once, times
+    _synthesis[r].  The FFT form transforms the columns once; chunk q's
+    terms for a parity's columns are one contiguous run, one multiply by
+    the chunk's taps.
     """
     frames, n_cols, m_sub = cols.shape
     n_chunks, width = bank.chunks.shape
-    last = first + signal.shape[1]
     lo = max(0, (first - r * m_sub) // width)
-    hi = min(n_cols + n_chunks - 1, -(-(last - r * m_sub) // width))
+    hi = min(n_cols + n_chunks - 1,
+             -(-(first + signal.shape[1] - r * m_sub) // width))
     if lo >= hi:
         return
-    # the windows of blocks lo .. hi-1 read columns lo-C+1 .. hi-1
+    c0, c1 = max(lo - n_chunks + 1, 0), min(hi, n_cols)
+    if bank.fft:
+        rows = np.empty((frames, c1 - c0, m_sub))
+        np.multiply(cols[:, c0:c1], signs[c0:c1], out=rows)
+        prod = bank.combine(rows.reshape(-1, m_sub), r)
+        prod = prod.reshape(frames, c1 - c0, width)
+        term = np.empty_like(prod)
+        for q in range(n_chunks):
+            # chunk q of columns ja .. jb-1 lands in blocks lo .. hi-1
+            ja, jb = max(c0, lo - q), min(c1, hi - q)
+            if ja < jb:
+                part = term[:, : jb - ja]
+                np.multiply(prod[:, ja - c0 : jb - c0], bank.chunks[q], out=part)
+                _add_run(signal, part.reshape(frames, (jb - ja) * width),
+                         (r + 2 * (ja + q)) * m_sub, first)
+        return
     j0 = lo - n_chunks + 1
     padded = np.zeros((frames, hi - j0, m_sub))
-    c0, c1 = max(j0, 0), min(hi, n_cols)
     np.multiply(cols[:, c0:c1], signs[c0:c1], out=padded[:, c0 - j0 : c1 - j0])
     windows = np.lib.stride_tricks.sliding_window_view(
         padded.reshape(frames, (hi - j0) * m_sub), n_chunks * m_sub, axis=1)
     rows = np.ascontiguousarray(windows[:, ::m_sub])
-    rows = rows.reshape(frames * (hi - lo), n_chunks * m_sub)
-    run = _rows_product(rows, bank._synthesis[r])
+    run = _rows_product(rows.reshape(-1, n_chunks * m_sub), bank._synthesis[r])
     run = run.reshape(frames, (hi - lo) * width)
-    at = (r + 2 * lo) * m_sub
-    skip, stop = max(at, first) - at, min(at + run.shape[1], last) - at
-    signal[:, at + skip - first : at + stop - first] += run[:, skip:stop]
+    _add_run(signal, run, (r + 2 * lo) * m_sub, first)
 
 
-def _add_fft_parity(signal, cols, signs, bank, r, first):
-    """Add the pulses of parity r's (B, J, M) columns cols * signs into the
-    signal's floats [first, first + signal.shape[1]) in the FFT form.
-
-    Column j starts at float (r + 2j)*M and chunk q of its pulse 2q*M
-    floats later.  Columns of one parity sit width = 2M floats apart, so a
-    chunk's terms for all of them are one contiguous run; the chunks, tiled
-    over the columns, scale a run in one pass.  Each run is clipped to the
-    signal's floats.
-    """
-    frames, n_cols, m_sub = cols.shape
-    rows = np.empty(cols.shape)
-    np.multiply(cols, signs, out=rows)
-    run = n_cols * bank.chunks.shape[1]
-    prod = bank.combine(rows.reshape(-1, m_sub), r).reshape(frames, run)
-    tiled = np.tile(bank.chunks, n_cols)
-    term = np.empty_like(prod)
-    last = first + signal.shape[1]
-    for q in range(tiled.shape[0]):
-        at = (r + 2 * q) * m_sub
-        lo, hi = max(at, first) - at, min(at + run, last) - at
-        if lo >= hi:
-            continue
-        part = term[:, : hi - lo]
-        np.multiply(prod[:, lo:hi], tiled[q, lo:hi], out=part)
-        signal[:, at + lo - first : at + hi - first] += part
+def _add_run(signal, run, at, first):
+    """Add the (B, n) floats run, which start at float at of the signal,
+    into the signal's floats [first, first + signal.shape[1])."""
+    lo, hi = max(at, first), min(at + run.shape[1], first + signal.shape[1])
+    if lo < hi:
+        signal[:, lo - first : hi - first] += run[:, lo - at : hi - at]
 
 
 def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
@@ -390,20 +383,14 @@ def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
     m_sub, lp, frames = grid.subcarriers, grid.filter.length, x.shape[0]
     signs = bank.signs(n_symbols)
     # column n reads the 2*L_p floats from float n*M of the (re, im) view:
-    # one window view serves both parities
+    # one window view serves both parities, each summed over its chunks
     windows = np.lib.stride_tricks.sliding_window_view(
         x.view(np.float64), 2 * lp, axis=1)[:, ::m_sub][:, :n_symbols]
-    if bank.fft:
-        windows = _chunk_sums(windows, bank)
     out = np.empty((frames, m_sub, n_symbols))
     for r in (0, 1):
-        cols = np.ascontiguousarray(windows[:, r::2])
-        rows = cols.reshape(frames * cols.shape[1], cols.shape[2])
-        if bank.fft:
-            stats = bank.project(rows, r)
-        else:
-            stats = _rows_product(rows, bank._analysis[r])
-        stats = stats.reshape(frames, cols.shape[1], m_sub).transpose(0, 2, 1)
+        sums = _chunk_sums(windows[:, r::2], bank)
+        stats = bank.project(sums.reshape(-1, 2 * m_sub), r)
+        stats = stats.reshape(sums.shape[:2] + (m_sub,)).transpose(0, 2, 1)
         np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out
 
@@ -417,5 +404,8 @@ def _chunk_sums(windows, bank):
     full = (n_chunks - 1) * width
     whole = windows[..., :full].reshape(frames, n_symbols, n_chunks - 1, width)
     acc = np.einsum("bnqi,qi->bni", whole, bank.chunks[:-1])
-    acc[..., : floats - full] += windows[..., full:] * bank.chunks[-1, : floats - full]
+    # the partial chunk as complex samples times their taps: a one-tap
+    # chunk is then one run over the columns, not one per column
+    tail = acc.view(np.complex128)[..., : (floats - full) // 2]
+    tail += windows[..., full:].view(np.complex128) * bank.chunks[-1, : floats - full : 2]
     return acc

@@ -224,23 +224,29 @@ def _fades(rng, channel: ChannelModel, shape) -> np.ndarray | None:
     return np.repeat(amp, channel.coherence, axis=-1)[..., :units]
 
 
-def _noise(rng, n0: float, shape, dtype=np.float64, fades=None,
-           out=None) -> np.ndarray:
-    """Gaussian noise of variance n0/2 per real dimension, one interleaved
-    standard_normal draw viewed as dtype (complex noise is circular).
+def _noise_scale(n0: float, fades=None):
+    """The standard deviation sigma = sqrt(n0/2) of noise of variance n0/2
+    per real dimension or, given fades, the zero-forced sigma / |h| of
+    each amplitude."""
+    sigma = math.sqrt(n0 / 2.0)
+    return sigma if fades is None else sigma / fades
 
-    fades, one amplitude per index of the leading fades.ndim axes of
-    shape, gives the zero-forced noise n/|h|.  out, a float64 array of
-    the draw's size, receives the draw.
+
+def _noise(rng, scale, shape, dtype=np.float64, out=None) -> np.ndarray:
+    """Gaussian noise, one interleaved standard_normal draw times scale,
+    viewed as dtype (complex noise is circular).
+
+    scale is a _noise_scale: a float, or an array with one value per
+    index of the leading scale.ndim axes of shape.  out, a float64 array
+    of the draw's size, receives the draw.
     """
     dims = np.dtype(dtype).itemsize // 8
     z = rng.standard_normal(dims * math.prod(shape), out=out)
-    sigma = math.sqrt(n0 / 2.0)
-    if fades is None:
-        z *= sigma
+    if np.ndim(scale) == 0:
+        z *= scale
     else:
-        z = z.reshape(*fades.shape, -1)
-        z *= (sigma / fades)[..., None]
+        z = z.reshape(*scale.shape, -1)
+        z *= scale[..., None]
     return z.view(dtype).reshape(shape)
 
 
@@ -286,7 +292,7 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
     per frame of y, that signal plus its noise zero-forced by the block's
     fades.  One helper thread draws the noise of the blocks in block
     order, each while this thread works on the block before; it calls
-    _noise only, which touches rng and an array that this thread
+    _noise only, which touches rng and the arrays that this thread
     allocates (numpy's generator releases the GIL while it draws).
     """
     # imported on the first batch, not with the package (about 2.5 ms)
@@ -294,10 +300,12 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
 
     def draw_ahead(sl):
         # Arrays that the helper allocated would stay in a malloc arena of
-        # its own (+1 MiB of peak RSS on the benchmark's bep-top8 workload).
+        # its own (+1 MiB of peak RSS on the benchmark's bep-top8 workload),
+        # so this thread allocates the draw and its scale.
         out = np.empty(dims * (sl.stop - sl.start) * math.prod(shape))
-        return pool.submit(_noise, rng, n0, (sl.stop - sl.start, *shape), dtype,
-                           None if fades is None else fades[sl], out)
+        scale = _noise_scale(n0, None if fades is None else fades[sl])
+        return pool.submit(_noise, rng, scale, (sl.stop - sl.start, *shape),
+                           dtype, out)
 
     frames = len(bits)
     dims = np.dtype(dtype).itemsize // 8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,10 +373,9 @@ class TestFbmcOracles:
         """p[m, n+2] is -p[m, n] one symbol (M samples) later, and p[m, n]
         is signs[n] * taps[j] * period[n % 2][m, j mod M]: the two
         root-of-unity matrices, the tap chunks and the column signs give
-        every pulse.  The matrix form folds the chunks into its matrices:
-        row block c of _synthesis[r] is period[r] * chunks[C-1-c], and
-        _analysis[r] is period[r].T with row q*2M + i scaled by
-        chunks[q, i], cut to 2*L_p rows."""
+        every pulse.  The matrix form folds the chunks into its synthesis
+        matrices: row block c of _synthesis[r] is period[r] *
+        chunks[C-1-c]."""
         n_cols, m_sub = 8, oracle_grid.subcarriers
         signs = oracle_bank.signs(n_cols)
         assert np.array_equal(signs, [1, 1, -1, -1, 1, 1, -1, -1])
@@ -397,18 +398,33 @@ class TestFbmcOracles:
                 assert np.max(np.abs(pulse(oracle_grid, m, n + 2).samples + p)) < 1e-12
                 fold = signs[n] * taps * period[n % 2, m, j % m_sub]
                 assert np.max(np.abs(fold - p)) < 1e-12
-        synthesis, analysis = oracle_bank._synthesis, oracle_bank._analysis
+        synthesis = oracle_bank._synthesis
         assert synthesis.shape == (2, n_chunks * m_sub, 2 * m_sub)
-        assert analysis.shape == (2, 2 * taps.size, m_sub)
         for r in (0, 1):
             for c in range(n_chunks):
                 block = synthesis[r, c * m_sub : (c + 1) * m_sub]
                 expected = oracle_bank.period[r] * chunks[n_chunks - 1 - c]
                 assert np.array_equal(block, expected)
-            for row in range(2 * taps.size):
-                q, i = divmod(row, 2 * m_sub)
-                expected = oracle_bank.period[r][:, i] * chunks[q, i]
-                assert np.array_equal(analysis[r, row], expected)
+
+    def test_matrix_and_fft_forms_agree(self, oracle_grid, oracle_bank,
+                                        monkeypatch):
+        """One bank in either form, switched by fft alone: the whole
+        signal, a sample range and the statistics."""
+        rng = np.random.default_rng(26)
+        m_sub, n_cols = oracle_grid.subcarriers, 9
+        length = fbmc_signal_length(oracle_grid, n_cols)
+        a = rng.normal(size=(3, m_sub, n_cols))
+        x = rng.normal(size=(3, length)) + 1j * rng.normal(size=(3, length))
+        start, stop = m_sub // 2 + 3, length - m_sub - 1
+        forms = []
+        for fft in (False, True):
+            monkeypatch.setattr(oracle_bank, "fft", fft)
+            forms.append((fbmc_synthesize(a, oracle_bank),
+                          fbmc_synthesize(a, oracle_bank, start, stop),
+                          fbmc_analyze_frame(x, oracle_bank, n_cols)))
+        for matrix, fft in zip(*forms):
+            assert matrix.shape == fft.shape
+            assert np.max(np.abs(matrix - fft)) < 1e-13
 
     def test_batch_equals_single_frames(self, martin_bank):
         rng = np.random.default_rng(23)
@@ -427,9 +443,9 @@ class TestFbmcOracles:
         assert fbmc_analyze_frame(signal, martin_bank, 9).shape == (0, 16, 9)
 
     def test_batch_equals_its_single_frames(self, martin_bank):
-        frames, n_cols = 460, 9
+        frames, n_cols = 1000, 9
         # each parity's products run in several parts
-        for matrix in (martin_bank._synthesis[1], martin_bank._analysis[1]):
+        for matrix in (martin_bank._synthesis[1], martin_bank._adjoint[1]):
             assert frames * (n_cols // 2) * matrix.size > 2 * modem._PART_MACS
         rng = np.random.default_rng(25)
         a = rng.normal(size=(frames, 16, n_cols))
@@ -455,7 +471,8 @@ def test_product_parts_stay_below_the_threading_threshold(monkeypatch, m_sub):
     parts, matmul = [], np.matmul
 
     def spy(rows, matrix, *args, **kwargs):
-        parts.append(rows.shape[0] * rows.shape[1] * matrix.shape[1])
+        parts.append((rows.shape[0] * rows.shape[1] * matrix.shape[1],
+                      matrix.shape))
         return matmul(rows, matrix, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -463,11 +480,29 @@ def test_product_parts_stay_below_the_threading_threshold(monkeypatch, m_sub):
     for length in (4 * m_sub - 1, 4 * m_sub, 4 * m_sub + 1):
         bank = PulseBank(FbmcGrid(m_sub, make_egf(1.0, 4, m_sub, length=length)))
         assert not bank.fft
-        frames = -(-2 * 10**6 // (n_cols // 2 * 2 * length * m_sub))
+        # analysis, the smaller product: (2M, M) per parity column
+        frames = -(-2 * 10**6 // (n_cols // 2 * 2 * m_sub * m_sub))
         a = np.ones((frames, m_sub, n_cols))
         parts.clear()
         fbmc_analyze_frame(fbmc_synthesize(a, bank), bank, n_cols)
-        assert len(parts) >= 4 * 2 and max(parts) < 1e6
+        analysis = [shape for _, shape in parts if shape == (2 * m_sub, m_sub)]
+        assert len(analysis) >= 2 * 2 and len(parts) >= 4 * 2
+        assert max(macs for macs, _ in parts) < 1e6
+
+
+def test_analysis_peaks_below_six_signals(martin_bank):
+    """fbmc_analyze_frame of 37 Martin M=16 frames of 48 columns holds at
+    most 6x the signal's bytes at once: each parity's columns are read
+    through one window view, never copied whole (2*L_p floats each)."""
+    x = fbmc_synthesize(np.ones((37, 16, 48)), martin_bank)
+    fbmc_analyze_frame(x, martin_bank, 48)
+    tracemalloc.start()
+    try:
+        fbmc_analyze_frame(x, martin_bank, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * x.nbytes
 
 
 class TestFbmcWindow:

@@ -109,14 +109,16 @@ class TestChannel:
     def test_zero_noise_density_adds_nothing(self):
         rng = np.random.default_rng(0)
         for dtype in (np.float64, np.complex128):
-            assert not simulate._noise(rng, 0.0, (8,), dtype).any()
+            assert not simulate._noise(rng, simulate._noise_scale(0.0), (8,),
+                                       dtype).any()
 
     def test_noise_variance_calibrated(self):
         """N0/2 per real dimension, for real (PAM) and complex noise."""
         rng = np.random.default_rng(2)
         n0 = 0.37
         for dims, dtype in ((1, np.float64), (2, np.complex128)):
-            noise = simulate._noise(rng, n0, (1000, 1000), dtype)
+            noise = simulate._noise(rng, simulate._noise_scale(n0), (1000, 1000),
+                                    dtype)
             assert noise.shape == (1000, 1000) and noise.dtype == dtype
             assert np.mean(np.abs(noise) ** 2) == pytest.approx(dims * n0 / 2,
                                                                 rel=0.01)
@@ -133,23 +135,25 @@ class TestChannel:
                 ((3, 5), np.array([1.0, 0.5, 0.1]), (1,)),
                 ((2, 3, 5), np.array([[1.0, 0.5, 0.1], [2.0, 0.3, 1e-3]]), (1,)),
                 ((2, 3, 5), ofdm_fades, ())):
-            plain = simulate._noise(np.random.default_rng(4), 0.2, shape,
+            plain = simulate._noise(np.random.default_rng(4),
+                                    simulate._noise_scale(0.2), shape,
                                     np.complex128)
-            forced = simulate._noise(np.random.default_rng(4), 0.2, shape,
-                                     np.complex128, fades)
+            forced = simulate._noise(np.random.default_rng(4),
+                                     simulate._noise_scale(0.2, fades), shape,
+                                     np.complex128)
             assert np.allclose(forced, plain / fades.reshape(fades.shape + per_value),
                                rtol=1e-15, atol=0)
 
     def test_noise_fills_out(self):
         """With out, the draw lands in out and is the draw without it."""
-        fades = np.array([1.0, 0.5, 0.1])
+        scale = simulate._noise_scale(0.2, np.array([1.0, 0.5, 0.1]))
         for dtype, dims in ((np.float64, 1), (np.complex128, 2)):
             out = np.empty(dims * 15)
-            got = simulate._noise(np.random.default_rng(4), 0.2, (3, 5), dtype,
-                                  fades, out)
+            got = simulate._noise(np.random.default_rng(4), scale, (3, 5), dtype,
+                                  out)
             assert np.shares_memory(got, out)
             assert np.array_equal(got, simulate._noise(
-                np.random.default_rng(4), 0.2, (3, 5), dtype, fades))
+                np.random.default_rng(4), scale, (3, 5), dtype))
 
     def test_fades_have_unit_power_and_hold_for_coherence(self):
         rng = np.random.default_rng(1)
@@ -395,6 +399,22 @@ class TestNoiseThread:
         assert len(drawn) == len(mapped) >= 3
         assert set(mapped) == {threading.get_ident()}
         assert len(set(drawn)) == 1 and drawn[0] != mapped[0]
+
+    def test_caller_allocates_the_zero_forcing_scale(self, monkeypatch):
+        """The helper only fills and scales arrays that the calling thread
+        allocated: memory the helper allocated would stay in a malloc
+        arena of its own."""
+        scaled, scale_ = [], simulate._noise_scale
+
+        def record_scale(*args, **kwargs):
+            scaled.append(threading.get_ident())
+            return scale_(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_noise_scale", record_scale)
+        system = OfdmSystem(64, 16, 2)
+        system.simulate_frames(RAYLEIGH, 2.0, 700, np.random.default_rng(1))
+        assert len(scaled) == len(frame_blocks(system, 700)) >= 2
+        assert set(scaled) == {threading.get_ident()}
 
     @pytest.mark.parametrize("m", [16, 256])
     def test_fbmc_draws_on_the_helper(self, monkeypatch, m):
