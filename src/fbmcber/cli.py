@@ -59,6 +59,12 @@ USAGE_ERROR = 2
 BUDGET_ERROR = 3
 COMPARE_ERROR = 4
 
+# Most points an SNR range may give; a larger one is a usage error.
+_MAX_GRID_POINTS = 10**6
+# Largest max_k |p[k] - p[L-1-k]| / max|p| of taps that the interference
+# table, SIR and BEP accept; built-in filters are within about 1e-15.
+_ASYMMETRY_TOL = 1e-12
+
 
 def _parse_grid(text: str) -> np.ndarray:
     """SNR grid: 'start:stop:step' (inclusive) or comma-separated values."""
@@ -74,8 +80,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"bad grid {text!r}")
     start, stop, step = values
     # Floor with a small slack: 0:11:3 stops at 9, 0:1:0.1 keeps 1.
-    n = math.floor((stop - start) / step + 1e-9)
-    return start + step * np.arange(n + 1)
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise ValueError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} "
+                         f"points")
+    return start + step * np.arange(math.floor(steps) + 1)
 
 
 def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
@@ -126,6 +135,20 @@ def _build_filter(args):
     raise ValueError(f"unknown filter {args.filter!r}")
 
 
+def _require_symmetric(filt):
+    """Raise ValueError unless filt's taps are even-symmetric: the table
+    keeps only the m + n even elements, which is all of them for
+    even-symmetric taps only."""
+    taps = filt.coeffs
+    asymmetry = np.max(np.abs(taps - taps[::-1])) / np.max(np.abs(taps))
+    if asymmetry > _ASYMMETRY_TOL:
+        raise ValueError(
+            f"taps are not even-symmetric: max |p[k] - p[L-1-k]| = "
+            f"{asymmetry:.3g} max|p| > {_ASYMMETRY_TOL:g} max|p|; the "
+            f"interference table, SIR and BEP hold for even-symmetric taps "
+            f"only (simulate accepts any taps)")
+
+
 def _fbmc_filter(args, stages):
     """The prototype filter of an FBMC command, designed once per command,
     and its manifest fields; None and {} for other systems."""
@@ -171,6 +194,7 @@ def cmd_filter_info(args) -> int:
         raise ValueError(f"--decay must be >= 0, got {args.decay}")
     stages = {}
     filt, source = _timed(stages, "filter_design", _build_filter, args)
+    _require_symmetric(filt)
     table = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
     mags = ordered_magnitudes(table)
     print(f"filter          {filt.label}")
@@ -219,6 +243,7 @@ def _analytic_curve(args, ebn0_db, filt, stages):
         probs = _timed(stages, "bep", fn, args.nq, args.m, args.ncp, gammas)
         fields["n_cp"] = args.ncp
     else:
+        _require_symmetric(filt)
         full = _timed(stages, "build_set", build_set, FbmcGrid(args.m, filt))
         table = truncate(full, args.kmax)
         probs = _timed(stages, "bep", fn, args.np, table, gammas,

@@ -5,14 +5,15 @@ Gray PAM bit mapping, with square QAM as PAM over the interleaved
 batches in polyphase form, from a `PulseBank`'s two M x M root-of-unity
 matrices and its chunks of M prototype taps.  One routine per
 direction serves every M: each column parity of synthesis forms the
-signal blocks that the sample range needs, from the columns they read,
-and each parity of analysis sums the chunks of one window view before
-its root-of-unity product.  The two forms differ in that product only:
-up to M=32 a real matrix product, run in parts small enough to stay on
-one OpenBLAS thread (synthesis folds the chunks into its matrix), above
-a twisted length-M FFT.  Real PAM amplitudes in, real decision
-statistics Re<x|p[m,n]> out.  OFDM has no modem: its unitary FFT pair
-moves no noise statistic, so `simulate.OfdmSystem` skips it.
+run of signal blocks that the sample range needs, from the zero-padded
+columns they read, and adds it once; each parity of analysis sums the
+chunks of one window view before its root-of-unity product.  Only
+`PulseBank.blocks` and `PulseBank.project` know the form of that
+product: up to M=32 a real matrix product, run in parts small enough to
+stay on one OpenBLAS thread (synthesis folds the chunks into its
+matrix), above a twisted length-M FFT.  Real PAM amplitudes in, real
+decision statistics Re<x|p[m,n]> out.  OFDM has no modem: its unitary
+FFT pair moves no noise statistic, so `simulate.OfdmSystem` skips it.
 The mapping works on Gray codewords: `pam_codewords` packs LSB-first
 groups of N_b bits into codewords, `pam_map` gives the level of each
 codeword and `pam_demap` the codeword of the nearest level, so the bit
@@ -178,12 +179,13 @@ class PulseBank:
     The matrix form folds the chunks into its synthesis matrices:
     `_synthesis[r]` stacks period[r] * chunks[C-1-c] for c < C, and a
     window of C consecutive parity-r columns times it is one 2M-float
-    block of the signal.  The FFT form transforms the columns and
-    multiplies the transforms by the chunks one chunk at a time.  Both
-    forms analyze a column as its chunk sums (its 2*L_p signal floats in
-    chunks of 2M, weighted by the chunks and summed) projected by
-    `project`.  The matrices are built on first use: a bank of the FFT
-    form never needs them (4 ms at M=256).
+    block of the signal.  The FFT form transforms the columns once and
+    sums each block's chunk-weighted transforms, one chunk at a time over
+    the whole run.  Both forms analyze a column as its chunk sums (its
+    2*L_p signal floats in chunks of 2M, weighted by the chunks and
+    summed) projected by `project`.  `blocks` and `project` are the only
+    code that reads `fft`.  The matrices are built on first use: a bank of
+    the FFT form never needs them (4 ms at M=256).
     OpenBLAS rounds a row's product with these row-major matrices the same
     in every product of two rows or more (a one-row product takes another
     kernel), so the window of a frame that the simulator synthesizes and
@@ -240,12 +242,33 @@ class PulseBank:
         """Column signs (-1)**(n // 2) for n < n_symbols."""
         return np.where(np.arange(n_symbols) // 2 % 2, -1.0, 1.0)
 
-    def combine(self, rows: np.ndarray, r: int) -> np.ndarray:
-        """rows @ period[r]: the (R, 2M) interleaved samples of the real
-        combinations of parity r's complex rows given by the (R, M) rows,
-        as a twisted inverse DFT."""
-        prod = np.fft.ifft(rows * self.twist[r], axis=1, norm="forward")
-        return prod.view(np.float64)
+    def blocks(self, cols: np.ndarray, r: int) -> np.ndarray:
+        """The (B, J, 2M) signal blocks of parity r's (B, J+C-1, M) signed
+        columns: block j is sum_q chunks[q] * (cols[:, j+C-1-q] @
+        period[r]), the window of C columns j .. j+C-1 times _synthesis[r]
+        in the matrix form, and the chunk-weighted sum of the columns'
+        twisted inverse DFTs in the FFT form."""
+        frames, n_cols, m_sub = cols.shape
+        n_chunks, width = self.chunks.shape
+        n_blocks = n_cols - n_chunks + 1
+        if not self.fft:
+            windows = np.lib.stride_tricks.sliding_window_view(
+                cols.reshape(frames, n_cols * m_sub), n_chunks * m_sub, axis=1)
+            rows = np.ascontiguousarray(windows[:, ::m_sub])
+            run = _rows_product(rows.reshape(-1, n_chunks * m_sub),
+                                self._synthesis[r])
+            return run.reshape(frames, n_blocks, width)
+        # in place: one more complex temporary cost about 4% at M=256
+        prod = cols * self.twist[r]
+        np.fft.ifft(prod, axis=2, norm="forward", out=prod)
+        prod = prod.view(np.float64)
+        run = prod[:, n_chunks - 1 :] * self.chunks[0]
+        term = np.empty_like(run)
+        for q in range(1, n_chunks):
+            at = n_chunks - 1 - q
+            np.multiply(prod[:, at : at + n_blocks], self.chunks[q], out=term)
+            run += term
+        return run
 
     def project(self, rows: np.ndarray, r: int) -> np.ndarray:
         """rows @ period[r].T: the (R, M) real projections of the (R, 2M)
@@ -316,12 +339,9 @@ def _add_parity(signal, cols, signs, bank, r, first):
     floats later, so output block b of the parity, the width = 2M floats
     from float (r + 2b)*M, sums chunk q of column b-q over q < C.  Only
     the blocks lo .. hi-1 that reach into the signal's floats are formed,
-    from the columns c0 .. c1-1 that they read.  The matrix form takes the
-    blocks as one contiguous run: the window of each block's columns
-    b-C+1 .. b (zero outside 0 .. J-1), each copied once, times
-    _synthesis[r].  The FFT form transforms the columns once; chunk q's
-    terms for a parity's columns are one contiguous run, one multiply by
-    the chunk's taps.
+    as one run by bank.blocks from the columns lo-C+1 .. hi-1, which are
+    zero outside 0 .. J-1, and the run is added once, clipped to the
+    signal's floats.
     """
     frames, n_cols, m_sub = cols.shape
     n_chunks, width = bank.chunks.shape
@@ -330,39 +350,15 @@ def _add_parity(signal, cols, signs, bank, r, first):
              -(-(first + signal.shape[1] - r * m_sub) // width))
     if lo >= hi:
         return
-    c0, c1 = max(lo - n_chunks + 1, 0), min(hi, n_cols)
-    if bank.fft:
-        rows = np.empty((frames, c1 - c0, m_sub))
-        np.multiply(cols[:, c0:c1], signs[c0:c1], out=rows)
-        prod = bank.combine(rows.reshape(-1, m_sub), r)
-        prod = prod.reshape(frames, c1 - c0, width)
-        term = np.empty_like(prod)
-        for q in range(n_chunks):
-            # chunk q of columns ja .. jb-1 lands in blocks lo .. hi-1
-            ja, jb = max(c0, lo - q), min(c1, hi - q)
-            if ja < jb:
-                part = term[:, : jb - ja]
-                np.multiply(prod[:, ja - c0 : jb - c0], bank.chunks[q], out=part)
-                _add_run(signal, part.reshape(frames, (jb - ja) * width),
-                         (r + 2 * (ja + q)) * m_sub, first)
-        return
     j0 = lo - n_chunks + 1
+    c0, c1 = max(j0, 0), min(hi, n_cols)
     padded = np.zeros((frames, hi - j0, m_sub))
     np.multiply(cols[:, c0:c1], signs[c0:c1], out=padded[:, c0 - j0 : c1 - j0])
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded.reshape(frames, (hi - j0) * m_sub), n_chunks * m_sub, axis=1)
-    rows = np.ascontiguousarray(windows[:, ::m_sub])
-    run = _rows_product(rows.reshape(-1, n_chunks * m_sub), bank._synthesis[r])
-    run = run.reshape(frames, (hi - lo) * width)
-    _add_run(signal, run, (r + 2 * lo) * m_sub, first)
-
-
-def _add_run(signal, run, at, first):
-    """Add the (B, n) floats run, which start at float at of the signal,
-    into the signal's floats [first, first + signal.shape[1])."""
-    lo, hi = max(at, first), min(at + run.shape[1], first + signal.shape[1])
-    if lo < hi:
-        signal[:, lo - first : hi - first] += run[:, lo - at : hi - at]
+    run = bank.blocks(padded, r).reshape(frames, (hi - lo) * width)
+    at = (r + 2 * lo) * m_sub
+    begin = max(at, first)
+    end = min(at + run.shape[1], first + signal.shape[1])
+    signal[:, begin - first : end - first] += run[:, begin - at : end - at]
 
 
 def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:

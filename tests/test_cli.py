@@ -165,6 +165,35 @@ class TestFilterInfo:
         assert "finite" in err and "nan" not in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.taps"]
 
+    def test_asymmetric_taps_file_is_a_usage_error(self, capsys, tmp_path):
+        """Martin taps with a 1% linear tilt: the table keeps the m + n even
+        elements only, right for even-symmetric taps alone, so filter-info,
+        bep and compare refuse them before writing anything, naming the
+        asymmetry; simulate, whose modem is right for any taps, runs."""
+        from fbmcber.filters import make_martin
+
+        taps = make_martin(4, 16).coeffs
+        taps = taps * (1 + 0.01 * np.linspace(-1, 1, taps.size))
+        path = tmp_path / "tilted.taps"
+        path.write_text("".join(f"{t:.17g}\n" for t in taps))
+        sim = ["--ebn0", "6", "--seed", "1", "--min-errors", "50",
+               "--max-bits", "100000"]
+        for command in (["filter-info", "--taps-out", str(tmp_path / "t")],
+                        ["bep", "--kmax", "3", "--ebn0", "6"],
+                        ["compare", "--kmax", "3", *sim]):
+            code, out, err = run_cli(capsys, *command, "--filter",
+                                     f"file:{path}", "--k", "4",
+                                     "--out", str(tmp_path / "x"))
+            assert code == USAGE_ERROR
+            assert "not even-symmetric" in err and "0.00238" in err
+            assert out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["tilted.taps"]
+        code, _, _ = run_cli(capsys, "simulate", *sim, "--filter",
+                             f"file:{path}", "--k", "4",
+                             "--out", str(tmp_path / "sim"))
+        assert code == 0
+        assert (tmp_path / "sim.csv").exists()
+
 
 class TestBep:
     def test_pam_exact_matches_formula(self, capsys, tmp_path):
@@ -641,6 +670,23 @@ class TestGridParsing:
         assert code == USAGE_ERROR
         assert "values must be finite" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-300", "0:1e12:1e-6"])
+    def test_oversized_range(self, capsys, tmp_path, grid):
+        """A range of more than 10**6 points, or of a count that overflows a
+        float, is a usage error that names the grid, not a traceback."""
+        code, _, err = run_cli(
+            capsys, "bep", "--system", "pam", "--ebn0", grid,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == USAGE_ERROR
+        assert f"bad grid {grid!r}: more than 1000000 points" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_range_of_the_most_points(self):
+        assert len(_parse_grid("0:999999:1")) == 10**6
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            _parse_grid("0:1000000:1")
 
     @pytest.mark.parametrize("text,expected", [
         ("0:11:3", [0.0, 3.0, 6.0, 9.0]),

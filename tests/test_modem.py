@@ -426,6 +426,32 @@ class TestFbmcOracles:
             assert matrix.shape == fft.shape
             assert np.max(np.abs(matrix - fft)) < 1e-13
 
+    def test_blocks_are_chunk_weighted_column_sums(self, oracle_grid,
+                                                   oracle_bank, monkeypatch):
+        """bank.blocks in either form: block j of a run is sum_q chunks[q]
+        * (cols[:, j+C-1-q] @ period[r]), also where its window reaches
+        into the zero columns at either end; no frames give no blocks."""
+        rng = np.random.default_rng(27)
+        m_sub = oracle_grid.subcarriers
+        n_chunks, width = oracle_bank.chunks.shape
+        cols = np.zeros((3, 6 + 2 * (n_chunks - 1), m_sub))
+        cols[:, n_chunks - 1 : n_chunks + 5] = rng.normal(size=(3, 6, m_sub))
+        n_blocks = cols.shape[1] - n_chunks + 1
+        for fft in (False, True):
+            monkeypatch.setattr(oracle_bank, "fft", fft)
+            for r in (0, 1):
+                run = oracle_bank.blocks(cols, r)
+                assert run.shape == (3, n_blocks, width)
+                expected = np.zeros(run.shape)
+                for j in range(n_blocks):
+                    for q in range(n_chunks):
+                        column = cols[:, j + n_chunks - 1 - q]
+                        expected[:, j] += (oracle_bank.chunks[q]
+                                           * (column @ oracle_bank.period[r]))
+                assert np.max(np.abs(run - expected)) < 1e-13
+                empty = oracle_bank.blocks(cols[:0], r)
+                assert empty.shape == (0, n_blocks, width)
+
     def test_batch_equals_single_frames(self, martin_bank):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(3, 16, 9))
