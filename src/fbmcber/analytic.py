@@ -84,6 +84,8 @@ def _bep(order, eps, gamma_b, kind, form, budget=enumeration.DEFAULT_BUDGET):
     gamma = np.atleast_1d(np.asarray(gamma_b, dtype=np.float64))
     if not np.all(gamma > 0):  # NaN fails too
         raise ValueError("gamma_b must be positive")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("gamma_b must be finite")
     thetas, weights = _gray_weights(order)
     if form != "exact":
         thetas, weights = thetas[:1], weights[:1]

@@ -87,6 +87,18 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(math.floor(steps) + 1)
 
 
+def _snr_grid(text: str) -> np.ndarray:
+    """_parse_grid of an Eb/N0 grid in dB; a point whose linear SNR
+    10**(dB/10) overflows is a usage error."""
+    grid = _parse_grid(text)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(analytic.db_to_linear(grid))
+    if not finite.all():
+        raise ValueError(f"bad grid {text!r}: {grid[~finite][0]:g} dB "
+                         f"overflows the linear SNR")
+    return grid
+
+
 def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
     """argv with each line of the --config file spliced in as --key=value
     right after the subcommand, so that argparse checks the values and any
@@ -260,7 +272,7 @@ def _analytic_curve(args, ebn0_db, filt, stages):
 
 
 def cmd_bep(args) -> int:
-    ebn0_db = _parse_grid(args.ebn0)
+    ebn0_db = _snr_grid(args.ebn0)
     stages = {}
     filt, source = _fbmc_filter(args, stages)
     probs, fields = _analytic_curve(args, ebn0_db, filt, stages)
@@ -297,7 +309,7 @@ def _simulated(args, ebn0_db, filt, stages) -> SimResult:
 
 
 def cmd_simulate(args) -> int:
-    ebn0_db = _parse_grid(args.ebn0)
+    ebn0_db = _snr_grid(args.ebn0)
     stages = {}
     filt, source = _fbmc_filter(args, stages)
     result = _simulated(args, ebn0_db, filt, stages)
@@ -313,7 +325,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ebn0_db = _parse_grid(args.ebn0)
+    ebn0_db = _snr_grid(args.ebn0)
     stages = {}
     filt, source = _fbmc_filter(args, stages)
     probs, fields = _analytic_curve(args, ebn0_db, filt, stages)

@@ -82,9 +82,11 @@ def _kernel(t, kind):
 
         return 0.5 * erfc(t)
     # Rationalized Rayleigh form: 1/(2 s (s + t)) for t > 0 keeps full
-    # precision where the BEP flattens into a floor.
+    # precision where the BEP flattens into a floor.  It takes |t|, equal
+    # where it is selected, so the discarded t <= 0 lanes never divide by
+    # s + t = 0, which they round to from about 300 dB on.
     s = np.sqrt(t * t + 1.0)
-    return np.where(t > 0.0, 0.5 / (s * (s + t)), 0.5 * (s - t) / s)
+    return np.where(t > 0.0, 0.5 / (s * (s + np.abs(t))), 0.5 * (s - t) / s)
 
 
 def reduce_offsets(eps, order, scales, thetas, weights, kind,

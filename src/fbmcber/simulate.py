@@ -15,18 +15,18 @@ fades (Rayleigh only) of all its frames, on the calling thread.  It
 then runs in blocks of whole frames, small enough to stay near the
 cache: a block of any system holds at most _BLOCK_REALS noise reals.
 Each block packs its bits into Gray codewords, maps them (FBMC also
-synthesizes), adds its zero-forced noise, demaps (FBMC after its
-analysis) to codewords and counts the bit errors as the Hamming
-distances between the sent and the decided codewords.  Meanwhile one
-helper thread draws the noise of the blocks, each as one interleaved
-standard_normal array (complex for OFDM and FBMC), in block order and
-one block ahead of the calling thread; the thread is joined before
-simulate_frames returns.  The modem runs its matrix products in parts
-of fewer multiply-adds than OpenBLAS spreads over all cores, and takes
-FFTs instead above M=32, so no idle OpenBLAS worker spins on the core
-that the helper draws on.  FBMC counts the columns 2K .. N-2K only, so
-it synthesizes, draws noise for and analyzes only the samples those
-columns read.
+synthesizes) and adds its zero-forced noise.  Every system then demaps
+its real decision statistics (FBMC's from its analysis) on one path and
+counts the bit errors as the Hamming distances between the sent and the
+decided codewords.  Meanwhile one helper thread draws the noise of the
+blocks, each as one interleaved standard_normal array (complex for OFDM
+and FBMC), in block order and one block ahead of the calling thread; the
+thread is joined before simulate_frames returns.  The modem runs its
+matrix products in parts of fewer multiply-adds than OpenBLAS spreads
+over all cores, and takes FFTs instead above M=32, so no idle OpenBLAS
+worker spins on the core that the helper draws on.  FBMC counts the
+columns 2K .. N-2K only, so it synthesizes, draws noise for and
+analyzes only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -55,7 +55,7 @@ from .modem import (
     pam_codewords,
     pam_demap,
     pam_map,
-    qam_demap,
+    qam_demap,  # unused; bench/spans.py wraps it by this module's name
     qam_map,
 )
 
@@ -264,8 +264,8 @@ def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
 #
 # simulate_frames draws a batch's bits and fades whole, then _block_errors
 # runs blocks of whole frames: each packs its bits into Gray codewords, maps
-# (and runs the FBMC modem), adds its zero-forced noise, demaps and counts,
-# while a helper thread draws the noise one block ahead.
+# (and runs the FBMC modem), adds its zero-forced noise, demaps its decision
+# statistics and counts, while a helper draws the noise one block ahead.
 
 # Noise reals per block (256 KB) of every system: 2**14 and 2**17 were
 # slower for PAM and OFDM.  An FBMC frame's noise covers the samples its
@@ -281,18 +281,19 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
     return _equal_slices(frames, max(1, budget // max(per_frame, 1)))
 
 
-def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
+def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit,
+                  statistics, counted):
     """Bit errors per frame of a batch, run in blocks of whole frames.
 
     bits holds the frames' bits, (frames, frame_bits), and fades (None
     under AWGN) their fades over the leading axes of (frames, *shape).
-    Per block this thread packs the bits into pam's codewords, then
-    transmit(codes) gives the noise-free received signal, a
-    (frames, *shape) array of dtype, and receive(codes, y) the bit errors
-    per frame of y, that signal plus its noise zero-forced by the block's
-    fades.  One helper thread draws the noise of the blocks in block
-    order, each while this thread works on the block before; it calls
-    _noise only, which touches rng and the arrays that this thread
+    Per block this thread packs the bits into pam's codewords; y is
+    transmit(codes), the noise-free (frames, *shape) signal of dtype,
+    plus its noise zero-forced by the block's fades.  The codewords that
+    pam decides on the real statistics(y) count against counted(codes),
+    in the same order.  One helper thread draws the noise of the blocks
+    in block order, each while this thread works on the block before; it
+    calls _noise only, which touches rng and the arrays that this thread
     allocates (numpy's generator releases the GIL while it draws).
     """
     # imported on the first batch, not with the package (about 2.5 ms)
@@ -322,7 +323,8 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit, receive):
             codes = pam_codewords(bits[sl], pam).reshape(sl.stop - sl.start, -1)
             y = transmit(codes)
             y += noise.result()
-            errors[sl] = receive(codes, y)
+            errors[sl] = _frame_errors(counted(codes),
+                                       pam_demap(statistics(y), pam))
     return errors
 
 
@@ -360,7 +362,7 @@ class PamSystem:
             rng, self.noise_density(gamma_b), bits, pam, (n,), np.float64,
             None if h is None else h.reshape(frames, n),
             lambda codes: pam_map(codes, pam).reshape(-1, n),
-            lambda codes, y: _frame_errors(codes, pam_demap(y, pam)))
+            lambda y: y, lambda codes: codes)
 
 
 @dataclass(frozen=True)
@@ -407,7 +409,7 @@ class OfdmSystem:
             rng, self.noise_density(gamma_b), bits, qam.pam, (m, nsym),
             np.complex128, h,
             lambda codes: qam_map(codes, qam).reshape(-1, m, nsym),
-            lambda codes, y: _frame_errors(codes, qam_demap(y, qam)))
+            lambda y: y.view(np.float64), lambda codes: codes)
 
 
 @dataclass(frozen=True)
@@ -466,8 +468,7 @@ class FbmcSystem:
         lo, hi = self.edge_columns, nsym - self.edge_columns
         # The counted columns lo..hi-1 read the samples [start, start +
         # width) only.  Column lo + n has column n's slot phase times
-        # (-1)**K (lo = 2K), so the window's statistics change sign for
-        # odd K.
+        # (-1)**K (lo = 2K), so the statistics change sign for odd K.
         start = lo * self.grid.half_symbol
         width = fbmc_signal_length(self.grid, hi - lo)
         flip = self.grid.filter.overlap % 2
@@ -476,15 +477,14 @@ class FbmcSystem:
             a = pam_map(codes, pam).reshape(-1, m, nsym)
             return fbmc_synthesize(a, self.bank, start, start + width)
 
-        def receive(codes, x):
+        def statistics(x):
             stats = fbmc_analyze_frame(x, self.bank, hi - lo)
-            if flip:
-                np.negative(stats, out=stats)
-            counted = codes.reshape(-1, m, nsym)[:, :, lo:hi]
-            return _frame_errors(counted, pam_demap(stats, pam))
+            return np.negative(stats, out=stats) if flip else stats
 
-        return _block_errors(rng, self.noise_density(gamma_b), bits, pam,
-                             (width,), np.complex128, h, transmit, receive)
+        return _block_errors(
+            rng, self.noise_density(gamma_b), bits, pam, (width,),
+            np.complex128, h, transmit, statistics,
+            lambda codes: codes.reshape(-1, m, nsym)[:, :, lo:hi])
 
 
 # ---------------------------------------------------------------------------

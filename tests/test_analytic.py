@@ -1,10 +1,14 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmcber import analytic as an
+from fbmcber import enumeration
 from fbmcber.errors import ConstellationError
 from fbmcber.interference import InterferenceTable, truncate
 from oracles import (
@@ -343,3 +347,85 @@ class TestFbmcInvariants:
         for gamma in (0.0, np.nan, np.array([2.0, np.nan])):
             with pytest.raises(ValueError):
                 an.fbmc_awgn_exact(8, martin_top8, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Numerics at the edges of the SNR range
+
+FBMC_FORMS = {
+    ("awgn", "exact"): an.fbmc_awgn_exact,
+    ("awgn", "approx"): an.fbmc_awgn_approx,
+    ("rayleigh", "exact"): an.fbmc_rayleigh_exact,
+    ("rayleigh", "approx"): an.fbmc_rayleigh_approx,
+}
+
+
+@st.composite
+def edge_curves(draw):
+    """A PAM order, a table of up to three entries of |eps| <= 1 and SNR
+    points from -300 to 3000 dB."""
+    order = draw(st.sampled_from([2, 4, 8, 16]))
+    eps = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    db = draw(st.lists(st.floats(-300.0, 3000.0), min_size=1, max_size=4))
+    return order, eps, np.array(db)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_curves())
+def test_bep_is_a_probability_at_any_snr(martin_grid, case):
+    """Finite and in [0, 1] on both channels in both forms, and no
+    floating-point warning on the way."""
+    order, eps, db = case
+    table = tiny_table(martin_grid, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in FBMC_FORMS.values():
+            probs = fn(order, table, an.db_to_linear(db))
+            assert np.all(np.isfinite(probs))
+            assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+def offset_floor(order, eps, form):
+    """The BEP at infinite SNR: the Gray-weighted share of the offsets
+    past each decision threshold, an offset exactly at one counting half."""
+    thetas, weights = collapsed_cho_weights(order)
+    if form == "approx":
+        thetas, weights = thetas[:1], weights[:1]
+    values, mults = enumeration.offset_support(eps, order)
+    past = (values > thetas[:, None]) + 0.5 * (values == thetas[:, None])
+    share = (past * mults).sum(axis=1) / float(order) ** len(eps)
+    return 2.0 / (order * math.log2(order)) * float(np.dot(weights, share))
+
+
+class TestInfiniteSnrFloor:
+    @pytest.mark.parametrize("kind,form", list(FBMC_FORMS))
+    @pytest.mark.parametrize("order,eps", [
+        (2, [1.0]),
+        (4, [0.25, 0.25]),
+        (8, [0.5, -0.25, 0.125]),
+        (16, [0.3, -0.2]),
+        (8, []),
+    ], ids=["bpsk-at-threshold", "pam4-at-threshold", "pam8-at-thresholds",
+            "pam16-past", "pam8-empty"])
+    def test_3000_db_is_the_offset_floor(self, martin_grid, kind, form,
+                                         order, eps):
+        probs = FBMC_FORMS[kind, form](order, tiny_table(martin_grid, eps),
+                                       an.db_to_linear(3000.0))
+        assert probs == pytest.approx(offset_floor(order, eps, form),
+                                      rel=0, abs=1e-12)
+
+    def test_martin_top8_floor(self, martin_top8):
+        """No offset of Martin's top-8 table reaches a threshold of 8-PAM."""
+        for fn in FBMC_FORMS.values():
+            assert fn(8, martin_top8, an.db_to_linear(3000.0)) < 1e-12
+
+    def test_floor_of_an_offset_at_the_threshold(self):
+        """BPSK with offsets +-1: half of the sent +-1 meet the threshold
+        0, each decided wrong with probability 1/2."""
+        assert offset_floor(2, [1.0], "exact") == 0.25
+
+    @pytest.mark.parametrize("gamma", [math.inf, np.array([1.0, math.inf])])
+    def test_infinite_gamma_is_rejected(self, martin_top8, gamma):
+        for fn in FBMC_FORMS.values():
+            with pytest.raises(ValueError, match="gamma_b must be finite"):
+                fn(8, martin_top8, gamma)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from fbmcber.cli import (
     COMPARE_ERROR,
     USAGE_ERROR,
     _parse_grid,
+    _snr_grid,
     build_parser,
     main,
 )
@@ -682,6 +684,30 @@ class TestGridParsing:
         assert code == USAGE_ERROR
         assert f"bad grid {grid!r}: more than 1000000 points" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flags", [
+        ("bep", ["--filter", "egf", "--alpha", "0.25", "--channel",
+                 "rayleigh"]),
+        ("simulate", ["--system", "pam"]),
+        ("compare", ["--system", "pam"]),
+    ], ids=["bep", "simulate", "compare"])
+    @pytest.mark.parametrize("grid", ["3100", "0,3100", "3000:3100:100"])
+    def test_overflowing_point(self, capsys, tmp_path, command, flags, grid):
+        """A point whose linear SNR overflows is a usage error that names
+        it, not a NaN curve or an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, command, *flags, "--ebn0", grid,
+                                   "--out", str(tmp_path / "x"))
+        assert code == USAGE_ERROR
+        assert f"bad grid {grid!r}: 3100 dB overflows the linear SNR" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_largest_points_parse(self):
+        assert _snr_grid("-3000,3000,3082.5").tolist() == [-3000.0, 3000.0,
+                                                           3082.5]
+        with pytest.raises(ValueError, match="3082.6 dB overflows"):
+            _snr_grid("3082.6")
 
     def test_range_of_the_most_points(self):
         assert len(_parse_grid("0:999999:1")) == 10**6

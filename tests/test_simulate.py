@@ -338,6 +338,92 @@ class TestChannel:
                 PamSystem(4, frame_symbols=frame_symbols)
 
 
+def _hooks(monkeypatch, system, frames):
+    """The codewords of one AWGN batch of system, each frame's on a row,
+    and its pam and hooks (transmit, statistics, counted) as its
+    simulate_frames passes them to _block_errors, which is not run."""
+    seen = {}
+
+    def record(rng, n0, bits, pam, shape, dtype, fades, *hooks):
+        codes = pam_codewords(bits, pam).reshape(len(bits), -1)
+        seen.update(pam=pam, codes=codes, hooks=hooks)
+        return np.zeros(len(bits), dtype=np.intp)
+
+    monkeypatch.setattr(simulate, "_block_errors", record)
+    system.simulate_frames(AWGN, 2.0, frames, np.random.default_rng(5))
+    return seen["pam"], seen["codes"], *seen["hooks"]
+
+
+def _table_prediction(levels, table, lo, hi):
+    """Noise-free statistics of the columns lo..hi-1 of one FBMC frame of
+    PAM levels (M, N): each slot's level plus the sum over the frame's
+    other slots of a[m, n] (-1)**((m - m0) n0) eps[m - m0, n - n0]."""
+    m_sub, nsym = levels.shape
+    cols = np.arange(lo, hi)
+    out = levels[:, lo:hi].copy()
+    for dm, dn, eps in zip(table.m, table.n, table.eps):
+        n = cols + dn
+        inside = (n >= 0) & (n < nsym)
+        rows = np.roll(levels, -dm, axis=0)  # row m0 holds m = m0 + dm
+        sign = (-1.0) ** (dm * cols[inside])
+        out[:, inside] += eps * sign * rows[:, n[inside]]
+    return out
+
+
+class TestDecisionPath:
+    """_block_errors demaps statistics(y) and counts the decisions against
+    counted(codes) for every system; without noise the statistics are the
+    sent levels, plus the interference that the table predicts for FBMC."""
+
+    def test_pam_statistics_are_the_levels(self, monkeypatch):
+        pam, codes, transmit, statistics, counted = _hooks(
+            monkeypatch, PamSystem(8, frame_symbols=300), 3)
+        assert np.array_equal(statistics(transmit(codes)).ravel(),
+                              pam_map(codes, pam))
+        assert np.array_equal(counted(codes), codes)
+
+    def test_ofdm_statistics_are_the_levels(self, monkeypatch):
+        pam, codes, transmit, statistics, counted = _hooks(
+            monkeypatch, OfdmSystem(64, 16, 2, frame_symbols=4), 3)
+        stats = statistics(transmit(codes))
+        assert stats.dtype == np.float64
+        assert np.array_equal(stats.ravel(), pam_map(codes, pam))
+        assert np.array_equal(counted(codes), codes)
+
+    @pytest.mark.parametrize("overlap", [3, 4])
+    def test_fbmc_statistics_follow_the_table(self, monkeypatch, overlap):
+        """Odd K flips the sign of the window's statistics back."""
+        grid = FbmcGrid(16, make_martin(overlap, 16))
+        system = FbmcSystem(8, grid)
+        pam, codes, transmit, statistics, _ = _hooks(monkeypatch, system, 2)
+        lo, hi = system.edge_columns, system.frame_symbols - system.edge_columns
+        stats = statistics(transmit(codes))
+        levels = pam_map(codes, pam).reshape(2, 16, -1)
+        table = build_set(grid)
+        for frame in range(2):
+            predicted = _table_prediction(levels[frame], table, lo, hi)
+            assert np.max(np.abs(stats[frame] - predicted)) < 1e-12
+
+    @pytest.mark.parametrize("overlap", [3, 4])
+    def test_martin_noise_free_decisions_are_right(self, monkeypatch, overlap):
+        """No bit errors without noise; counting the wrong columns, or
+        (odd K) dropping the sign flip, does give errors."""
+        system = FbmcSystem(8, FbmcGrid(16, make_martin(overlap, 16)))
+        pam, codes, transmit, statistics, counted = _hooks(monkeypatch,
+                                                           system, 3)
+        lo, hi = system.edge_columns, system.frame_symbols - system.edge_columns
+        stats = statistics(transmit(codes))
+
+        def errors(sent, values):
+            return simulate._frame_errors(sent, pam_demap(values, pam)).sum()
+
+        assert errors(counted(codes), stats) == 0
+        shifted = codes.reshape(3, 16, -1)[:, :, lo + 1:hi + 1]
+        assert errors(shifted, stats) > 0
+        if overlap % 2:
+            assert errors(counted(codes), -stats) > 0
+
+
 class TestProjectionCalibration:
     def test_null_frame_statistic_variance(self, martin_grid):
         """Projection of pure time-domain noise has variance N0/2."""
