@@ -84,9 +84,13 @@ def _kernel(t, kind):
     # Rationalized Rayleigh form: 1/(2 s (s + t)) for t > 0 keeps full
     # precision where the BEP flattens into a floor.  It takes |t|, equal
     # where it is selected, so the discarded t <= 0 lanes never divide by
-    # s + t = 0, which they round to from about 300 dB on.
-    s = np.sqrt(t * t + 1.0)
-    return np.where(t > 0.0, 0.5 / (s * (s + np.abs(t))), 0.5 * (s - t) / s)
+    # s + t = 0, which they round to from about 300 dB on.  s rounds to |t|
+    # from |t| = 2**27 on: clamping |t| there before squaring keeps t <= 0
+    # lanes off inf/inf; an overflowing t > 0 denominator gives 0.
+    a = np.abs(t)
+    s = np.maximum(np.sqrt(np.minimum(a, 2.0**27) ** 2 + 1.0), a)
+    with np.errstate(over="ignore"):
+        return np.where(t > 0.0, 0.5 / (s * (s + a)), 0.5 * (s - t) / s)
 
 
 def reduce_offsets(eps, order, scales, thetas, weights, kind,

@@ -361,31 +361,33 @@ def _add_parity(signal, cols, signs, bank, r, first):
     signal[:, begin - first : end - first] += run[:, begin - at : end - at]
 
 
-def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int) -> np.ndarray:
-    """Real statistics Re<x|p[m,n]> for all slots of bank.grid (pre-slicing).
+def fbmc_analyze_frame(signal, bank: PulseBank, n_symbols: int,
+                       first: int = 0) -> np.ndarray:
+    """Real statistics Re<x|p[m,n]> of columns first .. first+n_symbols-1.
 
-    signal is a (B, L) batch of frames; the result is the float
-    (B, M, N) batch of their statistics.
+    signal is a (B, L) batch of frames' samples from sample first*M/2
+    on; the result is the float (B, M, n_symbols) batch of statistics.
     """
     x = np.ascontiguousarray(signal, dtype=np.complex128)
     grid = bank.grid
     if x.ndim != 2:
         raise ShapeError(f"signal array must be (B, L), got {x.shape}")
-    if n_symbols < 1:
-        raise RangeError(f"symbol count {n_symbols} is not positive")
+    if n_symbols < 1 or first < 0:
+        raise RangeError(f"symbol count {n_symbols} is not positive or "
+                         f"first column {first} is negative")
     needed = fbmc_signal_length(grid, n_symbols)
     if x.shape[1] < needed:
         raise RangeError(f"signal length {x.shape[1]} < required {needed}")
     m_sub, lp, frames = grid.subcarriers, grid.filter.length, x.shape[0]
-    signs = bank.signs(n_symbols)
-    # column n reads the 2*L_p floats from float n*M of the (re, im) view:
-    # one window view serves both parities, each summed over its chunks
+    signs = bank.signs(first + n_symbols)[first:]
+    # column first + n reads the 2*L_p floats from float n*M of the (re,
+    # im) view: one window view serves both parities
     windows = np.lib.stride_tricks.sliding_window_view(
         x.view(np.float64), 2 * lp, axis=1)[:, ::m_sub][:, :n_symbols]
     out = np.empty((frames, m_sub, n_symbols))
     for r in (0, 1):
         sums = _chunk_sums(windows[:, r::2], bank)
-        stats = bank.project(sums.reshape(-1, 2 * m_sub), r)
+        stats = bank.project(sums.reshape(-1, 2 * m_sub), (first + r) % 2)
         stats = stats.reshape(sums.shape[:2] + (m_sub,)).transpose(0, 2, 1)
         np.multiply(stats, signs[r::2], out=out[:, :, r::2])
     return out

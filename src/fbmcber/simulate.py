@@ -14,19 +14,21 @@ its noise as n/|h|.  A batch draws, in this order, the bits and the
 fades (Rayleigh only) of all its frames, on the calling thread.  It
 then runs in blocks of whole frames, small enough to stay near the
 cache: a block of any system holds at most _BLOCK_REALS noise reals.
-Each block packs its bits into Gray codewords, maps them (FBMC also
-synthesizes) and adds its zero-forced noise.  Every system then demaps
-its real decision statistics (FBMC's from its analysis) on one path and
-counts the bit errors as the Hamming distances between the sent and the
-decided codewords.  Meanwhile one helper thread draws the noise of the
-blocks, each as one interleaved standard_normal array (complex for OFDM
-and FBMC), in block order and one block ahead of the calling thread; the
-thread is joined before simulate_frames returns.  The modem runs its
+Each block packs its bits into Gray codewords, maps them to float64
+reals (PAM levels, OFDM's (in-phase, quadrature) pairs of levels, which
+share their subcarrier's fade, or FBMC's synthesized (re, im) samples)
+and adds its zero-forced noise.  Every system then demaps its real
+decision statistics (FBMC's from the analysis of its samples viewed as
+complex) on one path and counts the bit errors as the Hamming distances
+between the sent and the decided codewords.  Meanwhile one helper thread
+draws the noise of the blocks, each as one standard_normal array, in
+block order and one block ahead of the calling thread; the thread is
+joined before simulate_frames returns.  The modem runs its
 matrix products in parts of fewer multiply-adds than OpenBLAS spreads
 over all cores, and takes FFTs instead above M=32, so no idle OpenBLAS
 worker spins on the core that the helper draws on.  FBMC counts the
 columns 2K .. N-2K only, so it synthesizes, draws noise for and
-analyzes only the samples those columns read.
+analyzes, from column 2K on, only the samples those columns read.
 Consecutive standard_normal calls continue one stream, so the blocks'
 noise is, value for value, one noise draw of the whole batch.  The
 generator of batch b of SNR point i is seeded with (master_seed, i, b),
@@ -55,7 +57,7 @@ from .modem import (
     pam_codewords,
     pam_demap,
     pam_map,
-    qam_demap,  # unused; bench/spans.py wraps it by this module's name
+    qam_demap,  # unused, as is qam_map; bench/spans.py wraps both by name
     qam_map,
 )
 
@@ -232,22 +234,19 @@ def _noise_scale(n0: float, fades=None):
     return sigma if fades is None else sigma / fades
 
 
-def _noise(rng, scale, shape, dtype=np.float64, out=None) -> np.ndarray:
-    """Gaussian noise, one interleaved standard_normal draw times scale,
-    viewed as dtype (complex noise is circular).
+def _noise(rng, scale, shape, out=None) -> np.ndarray:
+    """Gaussian float64 noise of shape, one standard_normal draw times
+    scale; a last axis of (in-phase, quadrature) or (re, im) pairs makes
+    it circular.
 
     scale is a _noise_scale: a float, or an array with one value per
     index of the leading scale.ndim axes of shape.  out, a float64 array
     of the draw's size, receives the draw.
     """
-    dims = np.dtype(dtype).itemsize // 8
-    z = rng.standard_normal(dims * math.prod(shape), out=out)
-    if np.ndim(scale) == 0:
-        z *= scale
-    else:
-        z = z.reshape(*scale.shape, -1)
-        z *= scale[..., None]
-    return z.view(dtype).reshape(shape)
+    z = rng.standard_normal(math.prod(shape), out=out)
+    z = z.reshape(*np.shape(scale), -1)
+    z *= np.expand_dims(scale, -1)
+    return z.reshape(shape)
 
 
 def _frame_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
@@ -281,15 +280,15 @@ def _frame_slices(frames: int, per_frame: int, budget: int):
     return _equal_slices(frames, max(1, budget // max(per_frame, 1)))
 
 
-def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit,
-                  statistics, counted):
+def _block_errors(rng, n0, bits, pam, shape, fades, transmit, statistics,
+                  counted):
     """Bit errors per frame of a batch, run in blocks of whole frames.
 
     bits holds the frames' bits, (frames, frame_bits), and fades (None
     under AWGN) their fades over the leading axes of (frames, *shape).
     Per block this thread packs the bits into pam's codewords; y is
-    transmit(codes), the noise-free (frames, *shape) signal of dtype,
-    plus its noise zero-forced by the block's fades.  The codewords that
+    transmit(codes), the noise-free float64 (frames, *shape) signal, plus
+    its noise zero-forced by the block's fades.  The codewords that
     pam decides on the real statistics(y) count against counted(codes),
     in the same order.  One helper thread draws the noise of the blocks
     in block order, each while this thread works on the block before; it
@@ -303,14 +302,13 @@ def _block_errors(rng, n0, bits, pam, shape, dtype, fades, transmit,
         # Arrays that the helper allocated would stay in a malloc arena of
         # its own (+1 MiB of peak RSS on the benchmark's bep-top8 workload),
         # so this thread allocates the draw and its scale.
-        out = np.empty(dims * (sl.stop - sl.start) * math.prod(shape))
+        out = np.empty((sl.stop - sl.start) * math.prod(shape))
         scale = _noise_scale(n0, None if fades is None else fades[sl])
         return pool.submit(_noise, rng, scale, (sl.stop - sl.start, *shape),
-                           dtype, out)
+                           out)
 
     frames = len(bits)
-    dims = np.dtype(dtype).itemsize // 8
-    slices = _frame_slices(frames, dims * math.prod(shape), _BLOCK_REALS)
+    slices = _frame_slices(frames, math.prod(shape), _BLOCK_REALS)
     errors = np.empty(frames, dtype=np.intp)
     # One pool per call: a forked child has no copy of a long-lived pool's
     # idle thread, and its pool would queue the draws for it forever.
@@ -359,7 +357,7 @@ class PamSystem:
         bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames * n,))
         return _block_errors(
-            rng, self.noise_density(gamma_b), bits, pam, (n,), np.float64,
+            rng, self.noise_density(gamma_b), bits, pam, (n,),
             None if h is None else h.reshape(frames, n),
             lambda codes: pam_map(codes, pam).reshape(-1, n),
             lambda y: y, lambda codes: codes)
@@ -406,10 +404,9 @@ class OfdmSystem:
         bits = _bits(rng, frames * self.frame_bits).reshape(frames, -1)
         h = _fades(rng, channel, (frames, m, nsym))
         return _block_errors(
-            rng, self.noise_density(gamma_b), bits, qam.pam, (m, nsym),
-            np.complex128, h,
-            lambda codes: qam_map(codes, qam).reshape(-1, m, nsym),
-            lambda y: y.view(np.float64), lambda codes: codes)
+            rng, self.noise_density(gamma_b), bits, qam.pam, (m, nsym, 2), h,
+            lambda codes: pam_map(codes, qam.pam).reshape(-1, m, nsym, 2),
+            lambda y: y, lambda codes: codes)
 
 
 @dataclass(frozen=True)
@@ -467,23 +464,19 @@ class FbmcSystem:
         h = _fades(rng, channel, (frames,))
         lo, hi = self.edge_columns, nsym - self.edge_columns
         # The counted columns lo..hi-1 read the samples [start, start +
-        # width) only.  Column lo + n has column n's slot phase times
-        # (-1)**K (lo = 2K), so the statistics change sign for odd K.
+        # width) only.
         start = lo * self.grid.half_symbol
         width = fbmc_signal_length(self.grid, hi - lo)
-        flip = self.grid.filter.overlap % 2
 
         def transmit(codes):
             a = pam_map(codes, pam).reshape(-1, m, nsym)
-            return fbmc_synthesize(a, self.bank, start, start + width)
-
-        def statistics(x):
-            stats = fbmc_analyze_frame(x, self.bank, hi - lo)
-            return np.negative(stats, out=stats) if flip else stats
+            x = fbmc_synthesize(a, self.bank, start, start + width)
+            return x.view(np.float64)
 
         return _block_errors(
-            rng, self.noise_density(gamma_b), bits, pam, (width,),
-            np.complex128, h, transmit, statistics,
+            rng, self.noise_density(gamma_b), bits, pam, (2 * width,), h,
+            transmit, lambda y: fbmc_analyze_frame(
+                y.view(complex), self.bank, hi - lo, first=lo),
             lambda codes: codes.reshape(-1, m, nsym)[:, :, lo:hi])
 
 

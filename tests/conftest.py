@@ -54,8 +54,10 @@ def random_symmetric_filter(rng, m, k=3):
 def frame_blocks(system, frames):
     """The blocks of whole frames that system.simulate_frames runs a batch
     of `frames` in: at most simulate._BLOCK_REALS noise reals each, the
-    noise of a frame being its PAM symbols, its complex OFDM symbols or the
-    complex samples that its counted FBMC columns read."""
+    noise of a frame being one real per PAM symbol, an (in-phase,
+    quadrature) pair per OFDM symbol and subcarrier, or an (re, im) pair
+    per sample that its counted FBMC columns read, the window that the
+    analysis takes from column first = 2K."""
     from fbmcber import simulate
     from fbmcber.modem import fbmc_signal_length
 

@@ -9,7 +9,8 @@ and `pam_demap`, and bit errors are counted on the bits shifted out of
 each codeword, not on the Hamming distance of two codewords.  The Gray
 PAM BEP has two references besides `fbmcber.analytic`'s weights: Cho and
 Yoon's closed-form coefficients (IEEE Trans. Commun. 50(7), 2002), and a
-brute-force sum over every sent level and decision region.  OFDM's
+brute-force sum over every sent level and decision region, also in
+mpmath arithmetic for the far tails.  OFDM's
 reference runs the unitary IFFT/FFT pair that the simulator leaves out,
 with the noise added between them; it decides with
 `fbmcber.modem.qam_demap`, so it checks the channel path, not the slicer.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.special import erfc
 
@@ -183,15 +185,37 @@ def region_sum_bep(order: int, gammas, kind: str) -> np.ndarray:
         x = 0.5 * t * t * snr
         return 0.5 / ((1.0 + x) * (1.0 + np.sqrt(x / (1.0 + x))))
 
-    tails = [tail(t) for t in range(2 * order)]
+    return _region_sum(order, [tail(t) for t in range(2 * order)])
+
+
+def region_sum_bep_mp(order: int, gamma: float, kind: str) -> float:
+    """region_sum_bep at one gamma_b in 50-digit mpmath arithmetic,
+    rounded to a float: mpmath's erfc has no float underflow, so an AWGN
+    BEP keeps its digits down to the smallest float."""
+    with mpmath.workdps(50):
+        nb = int(math.log2(order))
+        snr = mpmath.mpf(6 * nb) / (order**2 - 1) * mpmath.mpf(gamma)
+
+        def tail(t):
+            if kind == "awgn":
+                return mpmath.erfc(t * mpmath.sqrt(snr / 2)) / 2
+            x = t * t * snr / 2
+            return 1 / (2 * (1 + x) * (1 + mpmath.sqrt(x / (1 + x))))
+
+        return float(_region_sum(order, [tail(t) for t in range(2 * order)]))
+
+
+def _region_sum(order: int, tails):
+    """The region sum of region_sum_bep from the tails beyond t = 0, 1,
+    ..., 2N - 1 half level spacings, arrays or mpmath numbers alike."""
     codes = gray_codes(order)
-    total = np.zeros_like(snr)
+    total = 0
     for a in range(order):
         for j in range(order):
             if j == a:
                 continue
             near = 2 * abs(j - a) - 1
-            far = 0.0 if j in (0, order - 1) else tails[near + 2]
+            far = 0 if j in (0, order - 1) else tails[near + 2]
             flips = bin(int(codes[a] ^ codes[j])).count("1")
-            total += flips * (tails[near] - far)
-    return total / (order * nb)
+            total = total + flips * (tails[near] - far)
+    return total / (order * int(math.log2(order)))

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from fbmcber import analytic as an
 from fbmcber import enumeration
 from fbmcber.errors import ConstellationError
-from fbmcber.interference import InterferenceTable, truncate
+from fbmcber.filters import make_egf, make_rect
+from fbmcber.interference import FbmcGrid, InterferenceTable, build_set, truncate
 from oracles import (
     cho_weight,
     cho_weights,
     collapsed_cho_weights,
     q_function,
     region_sum_bep,
+    region_sum_bep_mp,
 )
 
 # High-precision reference values (mpmath, 40 digits).
@@ -134,6 +136,16 @@ class TestGrayWeights:
         fn = an.pam_awgn_exact if kind == "awgn" else an.pam_rayleigh_exact
         want = region_sum_bep(order, GAMMA_GRID, kind)
         np.testing.assert_allclose(fn(order, GAMMA_GRID), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind,db", [("awgn", [35.5, 36.0, 36.5]),
+                                         ("rayleigh", [2010.0, 2500.0, 3000.0])])
+    def test_far_tail_equals_the_mpmath_region_sum(self, kind, db):
+        """8-PAM (the empty table) where its BEP is below 1e-200."""
+        fn = an.pam_awgn_exact if kind == "awgn" else an.pam_rayleigh_exact
+        gammas = an.db_to_linear(db)
+        want = [region_sum_bep_mp(8, gamma, kind) for gamma in gammas]
+        assert all(0.0 < p < 1e-200 for p in want)
+        np.testing.assert_allclose(fn(8, gammas), want, rtol=1e-10, atol=0)
 
 
 class TestPamClosedForms:
@@ -363,10 +375,10 @@ FBMC_FORMS = {
 @st.composite
 def edge_curves(draw):
     """A PAM order, a table of up to three entries of |eps| <= 1 and SNR
-    points from -300 to 3000 dB."""
+    points from -300 dB to 3082.5 dB, the largest that the CLI takes."""
     order = draw(st.sampled_from([2, 4, 8, 16]))
     eps = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
-    db = draw(st.lists(st.floats(-300.0, 3000.0), min_size=1, max_size=4))
+    db = draw(st.lists(st.floats(-300.0, 3082.5), min_size=1, max_size=4))
     return order, eps, np.array(db)
 
 
@@ -429,3 +441,38 @@ class TestInfiniteSnrFloor:
         for fn in FBMC_FORMS.values():
             with pytest.raises(ValueError, match="gamma_b must be finite"):
                 fn(8, martin_top8, gamma)
+
+
+class TestRayleighKernelOverflow:
+    """The Rayleigh kernel squares scale * (theta - x), which overflows
+    from about 3065 dB on; every SNR that the CLI takes, up to 3082.5 dB,
+    gives a finite BEP without a floating-point warning."""
+
+    @staticmethod
+    def top8(design):
+        return truncate(build_set(FbmcGrid(16, design)), 8)
+
+    @pytest.mark.parametrize("order,db", [
+        (4, [3075.0, 3082.5]), (2, np.arange(3060.0, 3083.0, 2.5))])
+    def test_egf025_near_the_largest_snr(self, order, db):
+        """The BEP falls as 1 / gamma_b until it nears the smallest float."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = an.fbmc_rayleigh_exact(order, self.top8(make_egf(0.25, 4, 16)),
+                                           an.db_to_linear(db))
+        assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+        assert np.all(np.diff(probs) <= 0.0)
+        if order == 2:  # 3060 .. 3070 dB, above 1e-308
+            scaled = probs[:5] * an.db_to_linear(db[:5])
+            np.testing.assert_allclose(scaled, scaled[0], rtol=1e-9, atol=0)
+
+    def test_rect_floor_at_the_largest_snr(self):
+        """Rect's offsets pass 8-PAM's thresholds by so much that t * t
+        overflows in a t < 0 lane that the kernel selects: the BEP is the
+        offset floor there, not NaN."""
+        table = self.top8(make_rect(16, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = an.fbmc_rayleigh_exact(8, table, an.db_to_linear([3000.0, 3082.5]))
+        np.testing.assert_allclose(probs, offset_floor(8, table.eps, "exact"),
+                                   rtol=0, atol=1e-12)

@@ -299,6 +299,8 @@ class TestFbmcChain:
             fbmc_analyze_frame(signal, martin_bank, -1)
         with pytest.raises(RangeError):
             fbmc_analyze_frame(signal, martin_bank, 0)
+        with pytest.raises(RangeError):
+            fbmc_analyze_frame(signal, martin_bank, 4, first=-1)
         for empty in (np.zeros((1, 16, 0)), np.zeros((3, 16, 0))):
             with pytest.raises(RangeError):
                 fbmc_synthesize(empty, martin_bank)
@@ -581,6 +583,26 @@ class TestFbmcWindow:
         if bank.grid.filter.overlap % 2:
             stats = -stats
         assert np.array_equal(stats, fbmc_analyze_frame(x, bank, n_cols)[:, :, counted])
+
+    @pytest.mark.parametrize("m_sub", [16, 64])
+    @pytest.mark.parametrize("overlap", [3, 4])
+    def test_analysis_from_any_first_column(self, m_sub, overlap):
+        """The window of samples from first*M/2, analyzed from column
+        first, gives columns first .. first+n-1 of the whole frame's
+        analysis bit for bit, in the matrix form (M=16) and the FFT form
+        (M=64)."""
+        bank = PulseBank(FbmcGrid(m_sub, make_egf(1.0, overlap, m_sub)))
+        assert bank.fft == (m_sub == 64)
+        n, n_cols = 5, 15
+        rng = np.random.default_rng(33)
+        x = fbmc_synthesize(rng.normal(size=(3, m_sub, n_cols)), bank)
+        x += rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+        whole = fbmc_analyze_frame(x, bank, n_cols)
+        for first in (0, 1, 2, 3, 5, 8):
+            start = first * bank.grid.half_symbol
+            window = x[:, start : start + fbmc_signal_length(bank.grid, n)]
+            assert np.array_equal(fbmc_analyze_frame(window, bank, n, first),
+                                  whole[:, :, first : first + n])
 
     def test_noise_outside_the_window_moves_no_counted_statistic(self, bank):
         a, x, counted, window = self.frame(bank)

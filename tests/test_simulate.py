@@ -108,52 +108,51 @@ def _whole_batch(system, channel, gamma_b, frames, rng):
 class TestChannel:
     def test_zero_noise_density_adds_nothing(self):
         rng = np.random.default_rng(0)
-        for dtype in (np.float64, np.complex128):
-            assert not simulate._noise(rng, simulate._noise_scale(0.0), (8,),
-                                       dtype).any()
+        for shape in ((8,), (8, 2)):
+            assert not simulate._noise(rng, simulate._noise_scale(0.0),
+                                       shape).any()
 
     def test_noise_variance_calibrated(self):
-        """N0/2 per real dimension, for real (PAM) and complex noise."""
+        """N0/2 per real dimension, for one real per value (PAM) and for
+        interleaved (in-phase, quadrature) pairs, which are circular."""
         rng = np.random.default_rng(2)
         n0 = 0.37
-        for dims, dtype in ((1, np.float64), (2, np.complex128)):
-            noise = simulate._noise(rng, simulate._noise_scale(n0), (1000, 1000),
-                                    dtype)
-            assert noise.shape == (1000, 1000) and noise.dtype == dtype
-            assert np.mean(np.abs(noise) ** 2) == pytest.approx(dims * n0 / 2,
-                                                                rel=0.01)
-            assert np.var(noise.real) == pytest.approx(n0 / 2, rel=0.01)
-        assert np.var(noise.imag) == pytest.approx(n0 / 2, rel=0.01)
-        assert abs(np.mean(noise.real * noise.imag)) < 0.005 * n0
+        for dims in (1, 2):
+            noise = simulate._noise(rng, simulate._noise_scale(n0),
+                                    (1000, 1000, dims))
+            assert noise.shape == (1000, 1000, dims) and noise.dtype == np.float64
+            assert np.mean(np.sum(noise ** 2, axis=-1)) == pytest.approx(
+                dims * n0 / 2, rel=0.01)
+            assert np.var(noise[..., 0]) == pytest.approx(n0 / 2, rel=0.01)
+        assert np.var(noise[..., 1]) == pytest.approx(n0 / 2, rel=0.01)
+        assert abs(np.mean(noise[..., 0] * noise[..., 1])) < 0.005 * n0
 
     def test_zero_forced_noise_scales_by_fade(self):
         """One amplitude per index of the leading fades.ndim axes, which
-        may be all of them: OFDM has one fade per value of its
-        (frames, M, N_sym) noise."""
+        may be all but the last: OFDM has one fade per (in-phase,
+        quadrature) pair of its (frames, M, N_sym, 2) noise."""
         ofdm_fades = np.random.default_rng(6).uniform(1e-3, 2.0, (2, 3, 5))
         for shape, fades, per_value in (
-                ((3, 5), np.array([1.0, 0.5, 0.1]), (1,)),
-                ((2, 3, 5), np.array([[1.0, 0.5, 0.1], [2.0, 0.3, 1e-3]]), (1,)),
-                ((2, 3, 5), ofdm_fades, ())):
+                ((3, 5, 2), np.array([1.0, 0.5, 0.1]), (1, 1)),
+                ((2, 3, 5, 2), np.array([[1.0, 0.5, 0.1], [2.0, 0.3, 1e-3]]),
+                 (1, 1)),
+                ((2, 3, 5, 2), ofdm_fades, (1,))):
             plain = simulate._noise(np.random.default_rng(4),
-                                    simulate._noise_scale(0.2), shape,
-                                    np.complex128)
+                                    simulate._noise_scale(0.2), shape)
             forced = simulate._noise(np.random.default_rng(4),
-                                     simulate._noise_scale(0.2, fades), shape,
-                                     np.complex128)
+                                     simulate._noise_scale(0.2, fades), shape)
             assert np.allclose(forced, plain / fades.reshape(fades.shape + per_value),
                                rtol=1e-15, atol=0)
 
     def test_noise_fills_out(self):
         """With out, the draw lands in out and is the draw without it."""
         scale = simulate._noise_scale(0.2, np.array([1.0, 0.5, 0.1]))
-        for dtype, dims in ((np.float64, 1), (np.complex128, 2)):
-            out = np.empty(dims * 15)
-            got = simulate._noise(np.random.default_rng(4), scale, (3, 5), dtype,
-                                  out)
+        for shape in ((3, 5), (3, 5, 2)):
+            out = np.empty(math.prod(shape))
+            got = simulate._noise(np.random.default_rng(4), scale, shape, out)
             assert np.shares_memory(got, out)
             assert np.array_equal(got, simulate._noise(
-                np.random.default_rng(4), scale, (3, 5), dtype))
+                np.random.default_rng(4), scale, shape))
 
     def test_fades_have_unit_power_and_hold_for_coherence(self):
         rng = np.random.default_rng(1)
@@ -344,7 +343,7 @@ def _hooks(monkeypatch, system, frames):
     simulate_frames passes them to _block_errors, which is not run."""
     seen = {}
 
-    def record(rng, n0, bits, pam, shape, dtype, fades, *hooks):
+    def record(rng, n0, bits, pam, shape, fades, *hooks):
         codes = pam_codewords(bits, pam).reshape(len(bits), -1)
         seen.update(pam=pam, codes=codes, hooks=hooks)
         return np.zeros(len(bits), dtype=np.intp)
@@ -392,7 +391,7 @@ class TestDecisionPath:
 
     @pytest.mark.parametrize("overlap", [3, 4])
     def test_fbmc_statistics_follow_the_table(self, monkeypatch, overlap):
-        """Odd K flips the sign of the window's statistics back."""
+        """At odd K as at even K: the window is analyzed from column 2K."""
         grid = FbmcGrid(16, make_martin(overlap, 16))
         system = FbmcSystem(8, grid)
         pam, codes, transmit, statistics, _ = _hooks(monkeypatch, system, 2)
@@ -407,7 +406,8 @@ class TestDecisionPath:
     @pytest.mark.parametrize("overlap", [3, 4])
     def test_martin_noise_free_decisions_are_right(self, monkeypatch, overlap):
         """No bit errors without noise; counting the wrong columns, or
-        (odd K) dropping the sign flip, does give errors."""
+        (odd K) the statistics that analysis from column 0 gives, does
+        give errors."""
         system = FbmcSystem(8, FbmcGrid(16, make_martin(overlap, 16)))
         pam, codes, transmit, statistics, counted = _hooks(monkeypatch,
                                                            system, 3)
